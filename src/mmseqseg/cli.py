@@ -9,15 +9,15 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
-import numpy as np
-
-from . import dataio, metrics
-from .dataio import (FormatError, extract_sequences, gen_synthetic_case,
-                     load_checkpoint, normalize_volume, read_volume,
-                     save_checkpoint, write_volume)
+from . import metrics
+from .dataio import (FormatError, gen_synthetic_case, load_checkpoint,
+                     normalize_volume, read_volume, save_checkpoint,
+                     write_volume)
 from .gradsuite import run_suite
-from .network import ModelConfig, init_params, predict_volume
+from .network import (ModelConfig, config_text, init_params, parse_config,
+                      predict_volume)
 from .tensor import NumericalError
 from .training import SequenceDataset, TrainConfig, run_two_phase
 
@@ -27,23 +27,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_GRADCHECK = 4
 
-# Every configuration key with its default; unknown keys are errors.
-CONFIG_DEFAULTS = {
-    "modality_count": 4,
-    "class_count": 5,
-    "encoder_channels": "8,16,32,64",
-    "input_height": 64,
-    "input_width": 64,
-    "sequence_length": 3,
-    "convlstm_kernel": 3,
-    "seed": 0,
-    "batch_size": 3,
-    "lr_phase1": 1e-4,
-    "lr_phase2": 1e-6,
-    "phase1_steps": 300,
-    "phase2_steps": 100,
-    "clip_norm": 5.0,
-}
+# The config-file keys: every field of the two config dataclasses.
+CONFIG_KEYS = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
 
 
 class ConfigError(ValueError):
@@ -61,58 +46,21 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in CONFIG_DEFAULTS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value
     return out
 
 
 def resolve_config(file_values=None, overrides=None):
-    """Defaults, then config file, then flag overrides (flags win)."""
-    raw = {k: str(v) for k, v in CONFIG_DEFAULTS.items()}
-    raw.update(file_values or {})
+    """(ModelConfig, TrainConfig) from the dataclass defaults, then the
+    config file, then flag overrides (flags win)."""
+    raw = dict(file_values or {})
     raw.update({k: str(v) for k, v in (overrides or {}).items() if v is not None})
-    cast = {}
-    for key, value in raw.items():
-        default = CONFIG_DEFAULTS[key]
-        try:
-            if isinstance(default, int):
-                cast[key] = int(value)
-            elif isinstance(default, float):
-                cast[key] = float(value)
-            else:
-                cast[key] = value
-        except ValueError as e:
-            raise ConfigError(f"bad value for {key}: {value!r}") from e
-    return cast
-
-
-def config_text(cfg):
-    return "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
-
-
-def split_config(cfg):
-    model = ModelConfig(
-        modality_count=cfg["modality_count"],
-        class_count=cfg["class_count"],
-        encoder_channels=tuple(int(c) for c in cfg["encoder_channels"].split(",")),
-        input_height=cfg["input_height"],
-        input_width=cfg["input_width"],
-        sequence_length=cfg["sequence_length"],
-        convlstm_kernel=cfg["convlstm_kernel"],
-        seed=cfg["seed"],
-    )
-    train = TrainConfig(
-        batch_size=cfg["batch_size"],
-        sequence_length=cfg["sequence_length"],
-        lr_phase1=cfg["lr_phase1"],
-        lr_phase2=cfg["lr_phase2"],
-        phase1_steps=cfg["phase1_steps"],
-        phase2_steps=cfg["phase2_steps"],
-        clip_norm=cfg["clip_norm"],
-        seed=cfg["seed"],
-    )
-    return model, train
+    try:
+        return parse_config(ModelConfig, raw), parse_config(TrainConfig, raw)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def atomic_write(path, writer):
@@ -120,6 +68,15 @@ def atomic_write(path, writer):
     partial = str(path) + ".partial"
     writer(partial)
     os.replace(partial, path)
+
+
+def write_text(path, text):
+    """atomic_write of a text file; the handle is closed before the rename."""
+    def writer(partial):
+        with open(partial, "w") as f:
+            f.write(text)
+
+    atomic_write(path, writer)
 
 
 def load_cases(data_dir, normalize=True):
@@ -166,22 +123,19 @@ def cmd_train(args):
         "phase2_steps": args.phase2_steps,
         "batch_size": args.batch_size,
     }
-    cfg = resolve_config(file_values, overrides)
-    model_cfg, train_cfg = split_config(cfg)
+    model_cfg, train_cfg = resolve_config(file_values, overrides)
     cases = load_cases(args.data)
     dataset = SequenceDataset(cases, train_cfg.sequence_length)
     params = init_params(model_cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    records = []
-    run_two_phase(train_cfg, params, dataset, log_lines=records)
+    records = run_two_phase(train_cfg, params, dataset)
     atomic_write(os.path.join(args.out, "model.mmck"),
                  lambda p: save_checkpoint(p, params))
-    atomic_write(os.path.join(args.out, "train.log"),
-                 lambda p: open(p, "w").write(
-                     "".join(r + "\n" for r in records)))
-    atomic_write(os.path.join(args.out, "config.resolved"),
-                 lambda p: open(p, "w").write(config_text(cfg)))
+    write_text(os.path.join(args.out, "train.log"),
+               "".join(r + "\n" for r in records))
+    write_text(os.path.join(args.out, "config.resolved"),
+               config_text(model_cfg, train_cfg))
     print(f"trained {len(records)} steps; checkpoint at "
           f"{os.path.join(args.out, 'model.mmck')}")
     return EXIT_OK
@@ -192,7 +146,7 @@ def cmd_eval(args):
     preds = []
     cases = load_cases(args.data, normalize=False)
     if args.use_truth:
-        k = 5
+        k = max(int(lbl.max()) for _, lbl in cases) + 1
         for _, lbl in cases:
             truths.append(lbl)
             preds.append(lbl)
@@ -204,7 +158,7 @@ def cmd_eval(args):
             preds.append(predict_volume(params, vol, config.sequence_length))
             truths.append(lbl)
     report = metrics.evaluate(preds, truths, k)
-    atomic_write(args.report, lambda p: open(p, "w").write(report.to_text()))
+    write_text(args.report, report.to_text())
     print(report.to_text(), end="")
     return EXIT_OK
 

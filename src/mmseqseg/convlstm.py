@@ -58,8 +58,7 @@ class ConvLstmState:
 
 
 def _gate(x_t, h_prev, wx, wh, b):
-    return add(conv2d(x_t, wx, b, padding="same"),
-               conv2d(h_prev, wh, None, padding="same"))
+    return add(conv2d(x_t, wx, b), conv2d(h_prev, wh, None))
 
 
 def convlstm_step(x_t, state, params):
@@ -79,16 +78,14 @@ def convlstm_step(x_t, state, params):
     return h_t, ConvLstmState(h_t, c_t)
 
 
-def convlstm_sequence(xs, params, init_state=None):
-    """Unroll over a list of inputs with shared weights; returns all h_t."""
+def convlstm_sequence(xs, params):
+    """Unroll over a list of inputs with shared weights from a zero
+    state; returns all h_t."""
     if not xs:
         raise ShapeError("convlstm_sequence needs at least one input")
-    if init_state is None:
-        n, _, hs, ws = xs[0].shape
-        init_state = ConvLstmState.zeros(
-            n, params.hidden_channels, hs, ws, dtype=xs[0].dtype
-        )
-    state = init_state
+    n, _, hs, ws = xs[0].shape
+    state = ConvLstmState.zeros(n, params.hidden_channels, hs, ws,
+                                dtype=xs[0].dtype)
     hs_out = []
     for x_t in xs:
         h_t, state = convlstm_step(x_t, state, params)

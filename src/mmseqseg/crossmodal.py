@@ -22,16 +22,10 @@ class CmcParams:
         )
         self.bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
-    @property
-    def modalities(self):
-        return self.weights.shape[1]
-
 
 def stack_modalities(per_modality):
-    """Stack M same-shape feature maps along a new modality axis.
-
-    Inputs may be (C,h,w) or (N,C,h,w); the modality axis is inserted
-    right after the channel axis: (...,C,M,h,w). Pure re-indexing.
+    """Stack M same-shape (N,C,h,w) feature maps along a new modality
+    axis right after the channel axis: (N,C,M,h,w). Pure re-indexing.
     """
     if not per_modality:
         raise ShapeError("stack_modalities needs at least one modality")
@@ -41,13 +35,12 @@ def stack_modalities(per_modality):
             raise ShapeError(
                 f"modality shape mismatch: {t.shape} vs {shape0}"
             )
-    if len(shape0) not in (3, 4):
-        raise ShapeError("stack_modalities expects (C,h,w) or (N,C,h,w) maps")
-    axis = len(shape0) - 2
-    data = np.stack([t.data for t in per_modality], axis=axis)
+    if len(shape0) != 4:
+        raise ShapeError("stack_modalities expects (N,C,h,w) maps")
+    data = np.stack([t.data for t in per_modality], axis=2)
 
     def backward(g):
-        pieces = np.moveaxis(g, axis, 0)
+        pieces = np.moveaxis(g, 2, 0)
         for m, t in enumerate(per_modality):
             if t.requires_grad:
                 t._accumulate(pieces[m])
@@ -55,43 +48,24 @@ def stack_modalities(per_modality):
     return make_node(data, tuple(per_modality), backward, "stack_modalities output")
 
 
-def unstack_modalities(stack):
-    """Inverse of stack_modalities: plain arrays, one per modality."""
-    axis = stack.ndim - 3
-    return [np.take(stack.data, m, axis=axis) for m in range(stack.shape[axis])]
-
-
 def cmc_forward(stack, params):
-    """out[...,c,y,x] = sum_m weights[c,m] * stack[...,c,m,y,x] + bias[c]."""
-    axis = stack.ndim - 3
+    """out[n,c,y,x] = sum_m weights[c,m] * stack[n,c,m,y,x] + bias[c]."""
     c, m = params.weights.shape
-    if stack.shape[axis] != m or stack.shape[axis - 1] != c:
+    if stack.ndim != 5 or stack.shape[1:3] != (c, m):
         raise ShapeError(
             f"cmc_forward: stack {stack.shape} does not match weights {(c, m)}"
         )
     w, b = params.weights, params.bias
-    if stack.ndim == 4:  # (C,M,h,w)
-        out = np.einsum("cmyx,cm->cyx", stack.data, w.data)
-        out += b.data[:, None, None]
-    else:  # (N,C,M,h,w)
-        out = np.einsum("ncmyx,cm->ncyx", stack.data, w.data)
-        out += b.data[None, :, None, None]
+    out = np.einsum("ncmyx,cm->ncyx", stack.data, w.data)
+    out += b.data[None, :, None, None]
 
     def backward(g):
-        if stack.ndim == 4:
-            if stack.requires_grad:
-                stack._accumulate(np.einsum("cyx,cm->cmyx", g, w.data))
-            if w.requires_grad:
-                w._accumulate(np.einsum("cyx,cmyx->cm", g, stack.data))
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=(1, 2)))
-        else:
-            if stack.requires_grad:
-                stack._accumulate(np.einsum("ncyx,cm->ncmyx", g, w.data))
-            if w.requires_grad:
-                w._accumulate(np.einsum("ncyx,ncmyx->cm", g, stack.data))
-            if b.requires_grad:
-                b._accumulate(g.sum(axis=(0, 2, 3)))
+        if stack.requires_grad:
+            stack._accumulate(np.einsum("ncyx,cm->ncmyx", g, w.data))
+        if w.requires_grad:
+            w._accumulate(np.einsum("ncyx,ncmyx->cm", g, stack.data))
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=(0, 2, 3)))
 
     return make_node(out, (stack, w, b), backward, "cmc_forward output")
 

@@ -1,5 +1,5 @@
 """Bit-exact volume (MMV1) and checkpoint (MMCK) formats, synthetic
-phantom generation, sequence extraction, and intensity normalization.
+phantom generation, and intensity normalization.
 
 MMV1 layout: magic "MMV1"; u32 LE n_channels, D, H, W; one dtype byte
 (0 = f32 LE, 1 = u8 label); raw payload in channel, depth, row, column
@@ -11,11 +11,11 @@ dims, f32 LE payload.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
-from .network import ModelConfig, ModelParams
+from .network import ModelConfig, ModelParams, config_text, parse_config
 
 MAGIC_VOLUME = b"MMV1"
 MAGIC_CHECKPOINT = b"MMCK"
@@ -23,7 +23,6 @@ CHECKPOINT_VERSION = 1
 DTYPE_F32 = 0
 DTYPE_U8 = 1
 
-MODALITIES = ("flair", "t2", "t1", "t1c")
 T1C_CHANNEL = 3
 
 
@@ -111,17 +110,14 @@ def read_volume(path):
     return arr, kind
 
 
-def save_checkpoint(path, params, extra_config=None):
+def save_checkpoint(path, params):
     """Serialize model config + every tensor (trainable and BN state)."""
     tensors = {name: t.data for name, t in params.named_tensors().items()}
     for name, arr in params.named_state().items():
         if name in tensors:
             raise NameCollisionError(f"duplicate tensor name {name}")
         tensors[name] = arr
-    cfg_text = params.config.to_text()
-    if extra_config:
-        cfg_text += "".join(f"{k}={v}\n" for k, v in sorted(extra_config.items()))
-    cfg_bytes = cfg_text.encode("utf-8")
+    cfg_bytes = config_text(params.config).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC_CHECKPOINT)
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -146,11 +142,8 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise VersionError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
-        cfg_text = _read_exact(f, cfg_len, "config").decode("utf-8")
-        config = ModelConfig.from_text(
-            "\n".join(l for l in cfg_text.splitlines()
-                      if l.split("=")[0] in ModelConfig.__dataclass_fields__)
-        )
+        config = _parse_model_config(
+            _read_exact(f, cfg_len, "config").decode("utf-8"))
         tensors = {}
         while True:
             head = f.read(4)
@@ -168,19 +161,36 @@ def load_checkpoint(path):
             raw = _read_exact(f, 4 * n, f"payload of {name}")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
 
-    params = ModelParams(config)
-    named = params.named_tensors()
-    for name, t in named.items():
+    def stored(name, like):
         if name not in tensors:
             raise TruncatedPayloadError(f"checkpoint missing tensor {name}")
-        if tensors[name].shape != t.shape:
+        if tensors[name].shape != like.shape:
             raise FormatError(f"shape mismatch for {name}")
-        t.data = tensors[name]
-    for name in params.named_state():
-        if name not in tensors:
-            raise TruncatedPayloadError(f"checkpoint missing tensor {name}")
-        params.set_state(name, tensors[name])
+        return tensors[name]
+
+    params = ModelParams(config)
+    for name, t in params.named_tensors().items():
+        t.data = stored(name, t)
+    for name, bn in params.batchnorms().items():
+        bn.running_mean = stored(f"{name}.running_mean", bn.running_mean)
+        bn.running_var = stored(f"{name}.running_var", bn.running_var)
     return params, config
+
+
+def _parse_model_config(text):
+    """ModelConfig from checkpoint `key=value` lines; unknown keys are
+    skipped, a missing or bad value is a FormatError."""
+    values = {}
+    for line in text.splitlines():
+        key, _, value = line.strip().partition("=")
+        values[key] = value
+    missing = [f.name for f in fields(ModelConfig) if f.name not in values]
+    if missing:
+        raise FormatError(f"checkpoint config lacks {', '.join(missing)}")
+    try:
+        return parse_config(ModelConfig, values)
+    except ValueError as e:
+        raise FormatError(f"bad checkpoint config: {e}") from e
 
 
 def normalize_volume(volume):
@@ -264,26 +274,3 @@ def gen_synthetic_case(seed, dims):
     volume = _CLASS_MEANS.T[:, labels]  # (4, D, H, W)
     volume = volume + rng.normal(0.0, NOISE_SIGMA, size=volume.shape)
     return volume.astype(np.float32), labels
-
-
-@dataclass
-class SliceSequence:
-    """T consecutive modal slice stacks plus their label slices."""
-    stacks: np.ndarray   # (T, M, H, W)
-    labels: np.ndarray   # (T, H, W)
-    start: int
-
-
-def extract_sequences(volume, labels, t, stride=1):
-    """Depth windows of length t at the given stride."""
-    volume = np.asarray(volume)
-    labels = np.asarray(labels)
-    d = volume.shape[1]
-    if t > d:
-        raise ValueError(f"sequence length {t} exceeds depth {d}")
-    out = []
-    for start in range(0, d - t + 1, stride):
-        stacks = volume[:, start:start + t].transpose(1, 0, 2, 3)
-        out.append(SliceSequence(np.ascontiguousarray(stacks),
-                                 labels[start:start + t].copy(), start))
-    return out

@@ -6,8 +6,6 @@ hand in float64 tensors so the difference quotient has headroom.
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 class GradCheckReport:
     def __init__(self, tolerance):
@@ -83,9 +81,3 @@ def grad_check(fn, tensors, tolerance=1e-4, step_scale=1e-4, max_entries=None,
             worst = max(worst, _rel_err(float(ga[i]), numeric))
         report.max_rel_error[name] = worst
     return report
-
-
-def as_check_tensors(arrays):
-    """Promote a dict of arrays to float64 requires-grad tensors."""
-    return {k: Tensor(np.asarray(v, dtype=np.float64), requires_grad=True)
-            for k, v in arrays.items()}

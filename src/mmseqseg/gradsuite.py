@@ -7,7 +7,7 @@ import numpy as np
 
 from . import ops
 from .convlstm import ConvLstmParams, ConvLstmState, convlstm_sequence, convlstm_step
-from .crossmodal import CmcParams, cmc_forward, mrf_fuse, stack_modalities
+from .crossmodal import CmcParams, cmc_forward, mrf_fuse
 from .gradcheck import grad_check
 from .network import ModelConfig, forward_logits, init_params
 from .ops import BatchNormParams
@@ -16,10 +16,6 @@ from .tensor import Tensor
 
 def _t(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
-
-
-def _proj(rng, tensor):
-    return ops.project(tensor, rng.standard_normal(tensor.shape))
 
 
 def check_conv2d(seed, tol):

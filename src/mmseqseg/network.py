@@ -9,7 +9,7 @@ multiplies each scale's CMC map into its path and doubles the extents
 back up to H x W.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,9 @@ N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
 
 @dataclass
 class ModelConfig:
+    """Model half of the run configuration. The fields of ModelConfig
+    and training.TrainConfig are the config-file keys and defaults."""
+
     modality_count: int = 4
     class_count: int = 5
     encoder_channels: tuple = (8, 16, 32, 64)
@@ -41,38 +44,35 @@ class ModelConfig:
         if self.input_height % div or self.input_width % div:
             raise ValueError(f"input extents must be divisible by {div}")
 
-    def to_text(self):
-        items = {
-            "modality_count": self.modality_count,
-            "class_count": self.class_count,
-            "encoder_channels": ",".join(str(c) for c in self.encoder_channels),
-            "input_height": self.input_height,
-            "input_width": self.input_width,
-            "sequence_length": self.sequence_length,
-            "convlstm_kernel": self.convlstm_kernel,
-            "seed": self.seed,
-        }
-        return "".join(f"{k}={items[k]}\n" for k in sorted(items))
 
-    @classmethod
-    def from_text(cls, text):
-        kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            k, _, v = line.partition("=")
-            kv[k] = v
-        return cls(
-            modality_count=int(kv["modality_count"]),
-            class_count=int(kv["class_count"]),
-            encoder_channels=tuple(int(c) for c in kv["encoder_channels"].split(",")),
-            input_height=int(kv["input_height"]),
-            input_width=int(kv["input_width"]),
-            sequence_length=int(kv["sequence_length"]),
-            convlstm_kernel=int(kv["convlstm_kernel"]),
-            seed=int(kv["seed"]),
-        )
+def config_text(*configs):
+    """Sorted `key=value` lines over the fields of the given config
+    dataclasses; a tuple is written `8,16,32,64`."""
+    items = {}
+    for cfg in configs:
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            items[f.name] = (",".join(map(str, value)) if f.type is tuple
+                             else str(value))
+    return "".join(f"{k}={items[k]}\n" for k in sorted(items))
+
+
+def parse_config(cls, values):
+    """cls built from a dict of text values, each cast by its field's
+    type (int, float, or a tuple of ints written `8,16,32,64`). Keys
+    that are not fields of cls are skipped; absent fields keep their
+    defaults. A bad value or a failed validation raises ValueError."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        text = values[f.name]
+        try:
+            kwargs[f.name] = (tuple(int(v) for v in text.split(","))
+                              if f.type is tuple else f.type(text))
+        except ValueError as e:
+            raise ValueError(f"bad value for {f.name}: {text!r}") from e
+    return cls(**kwargs)
 
 
 class ConvBnParams:
@@ -144,38 +144,24 @@ class ModelParams:
         out["cls.bias"] = self.cls_bias
         return out
 
+    def batchnorms(self):
+        """Every batch norm by name: encoders by modality and scale, then
+        the decoder stages. This order is the checkpoint's."""
+        table = {}
+        for m, stages in enumerate(self.encoders):
+            for s, p in enumerate(stages):
+                table[f"enc{m}.s{s}.bn"] = p.bn
+        for i, p in enumerate(self.decoder):
+            table[f"dec{i}.conv.bn"] = p.conv.bn
+        return table
+
     def named_state(self):
         """Non-trainable state (batch-norm running statistics)."""
         out = {}
-        holders = []
-        for m, stages in enumerate(self.encoders):
-            for s, p in enumerate(stages):
-                holders.append((f"enc{m}.s{s}.bn", p.bn))
-        for i, p in enumerate(self.decoder):
-            holders.append((f"dec{i}.conv.bn", p.conv.bn))
-        for name, bn in holders:
-            out[f"{name}.running_mean"] = bn
-            out[f"{name}.running_var"] = bn
-        return {
-            name: (bn.running_mean if name.endswith("mean") else bn.running_var)
-            for name, bn in out.items()
-        }
-
-    def set_state(self, name, value):
-        parts = name.rsplit(".", 1)
-        holder, attr = parts[0], parts[1]
-        for key, bn in self._bn_holders():
-            if key == holder:
-                setattr(bn, attr, value.astype(bn.running_mean.dtype))
-                return
-        raise KeyError(name)
-
-    def _bn_holders(self):
-        for m, stages in enumerate(self.encoders):
-            for s, p in enumerate(stages):
-                yield f"enc{m}.s{s}.bn", p.bn
-        for i, p in enumerate(self.decoder):
-            yield f"dec{i}.conv.bn", p.conv.bn
+        for name, bn in self.batchnorms().items():
+            out[f"{name}.running_mean"] = bn.running_mean
+            out[f"{name}.running_var"] = bn.running_var
+        return out
 
 
 def orthogonal_kernel(rng, shape, dtype):

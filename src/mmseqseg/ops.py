@@ -7,7 +7,7 @@ ops take NCHW layout.
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, check_finite, make_node
+from .tensor import ShapeError, Tensor, make_node
 
 
 def _im2col(x, kh, kw, pad):
@@ -37,24 +37,18 @@ def _col2im(col, x_shape, kh, kw, pad):
     return img[:, :, pad:pad + h, pad:pad + w]
 
 
-def conv2d(x, kernel, bias=None, padding="same"):
-    """Cross-correlation, stride 1. kernel (Cout, Cin, kh, kw)."""
+def conv2d(x, kernel, bias=None):
+    """Same-padded cross-correlation, stride 1. kernel (Cout, Cin, kh, kw)
+    with odd kh, kw."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW kernel")
     n, cin, h, w = x.shape
     cout, cin_k, kh, kw = kernel.shape
     if cin != cin_k:
         raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel {cin_k}")
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError("same-padding needs odd kernel extents")
-        pad = (kh - 1) // 2
-    elif padding == "valid":
-        pad = 0
-        if kh > h or kw > w:
-            raise ShapeError("valid conv kernel larger than input")
-    else:
-        raise ShapeError(f"unknown padding {padding!r}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError("same-padding needs odd kernel extents")
+    pad = (kh - 1) // 2
 
     col, ho, wo = _im2col(x.data, kh, kw, pad)
     w_col = kernel.data.reshape(cout, -1)
@@ -162,17 +156,14 @@ def maxpool2x2(x):
 class BatchNormParams:
     """Per-channel affine parameters and running statistics."""
 
-    def __init__(self, channels, momentum=0.9, epsilon=1e-5, dtype=np.float32):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must lie in (0,1)")
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+    momentum = 0.9  # running-statistics decay
+    epsilon = 1e-5
+
+    def __init__(self, channels, dtype=np.float32):
         self.scale = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.shift = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = momentum
-        self.epsilon = epsilon
 
 
 def batchnorm(x, params, mode="train"):

@@ -17,12 +17,8 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-# Toggled off only in benchmarks; every op output is checked when True.
-CHECK_FINITE = True
-
-
 def check_finite(arr, what):
-    if CHECK_FINITE and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NumericalError(f"non-finite values in {what}")
     return arr
 
@@ -58,9 +54,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def _accumulate(self, g):
         if self.grad is None:

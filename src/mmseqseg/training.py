@@ -30,9 +30,6 @@ class TrainConfig:
     lr_phase2: float = 1e-6
     phase1_steps: int = 300
     phase2_steps: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 5.0  # 0 disables clipping
     seed: int = 0
 
@@ -167,11 +164,11 @@ def train_step(params, named, batch, alpha, opt_state, lr, config,
         loss.backward(seed=inv_b)  # batch gradients average
 
     clip_gradients(named, config.clip_norm)
-    adam_update(named, opt_state, lr, config.beta1, config.beta2, config.adam_eps)
+    adam_update(named, opt_state, lr)
     return total * inv_b
 
 
-def run_two_phase(config, params, dataset, k=None, log_path=None, log_lines=None):
+def run_two_phase(config, params, dataset):
     """Two-phase schedule; returns the list of log records.
 
     Phase 1: tumor-only sampling with median-frequency weights at
@@ -182,14 +179,13 @@ def run_two_phase(config, params, dataset, k=None, log_path=None, log_lines=None
     wrecks the minority classes). One `phase= step= loss= lr=` record
     per step.
     """
-    if k is None:
-        k = params.config.class_count
+    k = params.config.class_count
     rng = np.random.default_rng(config.seed)
     named = params.named_tensors()
     opt_state = OptimizerState(named)
     balanced = compute_class_weights([lbl for _, lbl in dataset.cases], k).alpha
     unit = np.ones(k, dtype=np.float64)
-    records = log_lines if log_lines is not None else []
+    records = []
 
     step_id = 0
     schedule = [
@@ -209,7 +205,4 @@ def run_two_phase(config, params, dataset, k=None, log_path=None, log_lines=None
                 )
             records.append(f"phase={phase} step={step_id} loss={loss:.6f} lr={lr:g}")
             step_id += 1
-    if log_path is not None:
-        with open(log_path, "w") as f:
-            f.write("".join(r + "\n" for r in records))
     return records

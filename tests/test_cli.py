@@ -40,10 +40,11 @@ class TestConfig:
     def test_parse_and_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(TINY_CFG)
-        cfg = resolve_config(parse_config_file(path))
-        assert cfg["encoder_channels"] == "2,3,4,5"
-        assert cfg["phase1_steps"] == 0
-        assert cfg["lr_phase1"] == 1e-4  # untouched default
+        model, train = resolve_config(parse_config_file(path))
+        assert model.encoder_channels == (2, 3, 4, 5)
+        assert train.phase1_steps == 0
+        assert train.lr_phase1 == 1e-4  # untouched default
+        assert model.sequence_length == train.sequence_length == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -54,8 +55,8 @@ class TestConfig:
     def test_flags_win(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 3\n")
-        cfg = resolve_config(parse_config_file(path), {"seed": 9})
-        assert cfg["seed"] == 9
+        model, train = resolve_config(parse_config_file(path), {"seed": 9})
+        assert model.seed == train.seed == 9
 
 
 class TestGen:
@@ -117,6 +118,31 @@ class TestTrain:
         assert run("train", "--config", str(cfg), "--data", str(tiny_data),
                    "--out", str(tmp_path / "out")) == EXIT_USAGE
 
+    @pytest.mark.parametrize("line", [
+        "encoder_channels = 8,16,32",
+        "encoder_channels = a,b,c,d",
+        "input_height = 20",
+        "seed = x",
+    ])
+    def test_bad_config_value(self, tiny_data, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run("train", "--config", str(cfg), "--data", str(tiny_data),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+
+    def test_resolved_config_reproduces_itself(self, tiny_data, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG)
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run("train", "--config", str(cfg), "--data", str(tiny_data),
+                   "--out", str(first)) == EXIT_OK
+        resolved = first / "config.resolved"
+        assert run("train", "--config", str(resolved), "--data",
+                   str(tiny_data), "--out", str(second)) == EXIT_OK
+        assert (second / "config.resolved").read_bytes() == \
+            resolved.read_bytes()
+        assert len(resolved.read_text().splitlines()) == 14
+
 
 class TestEval:
     def test_oracle_mode_perfect(self, tiny_data, tmp_path):
@@ -128,6 +154,21 @@ class TestEval:
         for line in text.strip().splitlines():
             if "dice" in line or "ppv" in line or "sensitivity" in line:
                 assert line.endswith("=1")
+
+    def test_oracle_class_count_from_data(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        lbl = np.zeros((2, 16, 16), dtype=np.uint8)
+        lbl[0, :4, :4] = 5
+        write_volume(data / "case_0_img.mmv",
+                     np.zeros((4, 2, 16, 16), dtype=np.float32), "modal")
+        write_volume(data / "case_0_lbl.mmv", lbl, "label")
+        report = tmp_path / "report.txt"
+        assert run("eval", "--data", str(data), "--report", str(report),
+                   "--use-truth") == EXIT_OK
+        text = report.read_text()
+        assert text.startswith("mean_iu=1\n")
+        assert "iu[5]=1\n" in text
 
     def test_model_eval_writes_report(self, tiny_data, tmp_path):
         ckpt = tmp_path / "m.mmck"

@@ -1,17 +1,32 @@
 """Volume/checkpoint formats, phantom generator, sequence extraction."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from mmseqseg import dataio
-from mmseqseg.dataio import (BadMagicError, NameCollisionError,
+from mmseqseg.dataio import (BadMagicError, FormatError, NameCollisionError,
                              TruncatedPayloadError, UnknownDtypeError,
-                             VersionError, extract_sequences, gen_synthetic_case,
-                             load_checkpoint, normalize_volume, read_volume,
-                             save_checkpoint, write_volume)
+                             VersionError, gen_synthetic_case, load_checkpoint,
+                             normalize_volume, read_volume, save_checkpoint,
+                             write_volume)
 from mmseqseg.network import ModelConfig, forward, init_params
+from mmseqseg.training import SequenceDataset
+
+
+def checkpoint_config(data):
+    """(config text, offset of the tensor records) of checkpoint bytes."""
+    (n,) = struct.unpack("<I", data[8:12])
+    return data[12:12 + n].decode("utf-8"), 12 + n
+
+
+def with_config(data, text):
+    """Checkpoint bytes with the config text replaced."""
+    _, rest = checkpoint_config(data)
+    raw = text.encode("utf-8")
+    return data[:8] + struct.pack("<I", len(raw)) + raw + data[rest:]
 
 
 class TestVolumeFormat:
@@ -124,6 +139,47 @@ class TestCheckpointFormat:
         with pytest.raises(TruncatedPayloadError):
             load_checkpoint(path)
 
+    def test_config_text_pinned(self, tmp_path):
+        params = init_params(ModelConfig(
+            modality_count=2, class_count=3, encoder_channels=(4, 6, 8, 10),
+            input_height=32, input_width=48, sequence_length=4,
+            convlstm_kernel=5, seed=11))
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, params)
+        text, _ = checkpoint_config(path.read_bytes())
+        assert text == ("class_count=3\n"
+                        "convlstm_kernel=5\n"
+                        "encoder_channels=4,6,8,10\n"
+                        "input_height=32\n"
+                        "input_width=48\n"
+                        "modality_count=2\n"
+                        "seed=11\n"
+                        "sequence_length=4\n")
+        assert load_checkpoint(path)[1] == params.config
+
+    def test_unknown_config_key_ignored(self, tmp_path):
+        params = self.make()
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        text, _ = checkpoint_config(data)
+        path.write_bytes(with_config(data, text + "lr_phase1=0.5\n"))
+        assert load_checkpoint(path)[1] == params.config
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("seed=0\n", ""),
+        lambda text: text.replace("seed=0\n", "seed=x\n"),
+    ], ids=["missing-seed", "bad-seed"])
+    def test_forged_config_is_format_error(self, tmp_path, edit):
+        params = self.make()
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        text, _ = checkpoint_config(data)
+        path.write_bytes(with_config(data, edit(text)))
+        with pytest.raises(FormatError, match="seed"):
+            load_checkpoint(path)
+
 
 class TestSyntheticGenerator:
     def test_deterministic(self):
@@ -195,28 +251,26 @@ class TestNormalize:
 
 
 class TestExtractSequences:
-    def test_tiling_count(self):
-        vol = np.zeros((4, 6, 8, 8))
-        lbl = np.zeros((6, 8, 8), dtype=np.uint8)
-        seqs = extract_sequences(vol, lbl, 3, stride=3)
-        assert [s.start for s in seqs] == [0, 3]
+    """Depth windows of a case, as SequenceDataset extracts them."""
 
     def test_sliding_window_count(self):
         vol = np.zeros((4, 10, 8, 8))
         lbl = np.zeros((10, 8, 8), dtype=np.uint8)
-        assert len(extract_sequences(vol, lbl, 3, stride=1)) == 8
+        assert len(SequenceDataset([(vol, lbl)], 3).windows) == 8
 
     def test_content_matches_direct_slicing(self):
         rng = np.random.default_rng(3)
         vol = rng.standard_normal((4, 7, 4, 4))
         lbl = rng.integers(0, 5, size=(7, 4, 4)).astype(np.uint8)
-        for s in extract_sequences(vol, lbl, 3, stride=2):
+        ds = SequenceDataset([(vol, lbl)], 3)
+        for window in ds.windows:
+            start = window[1]
+            stacks, labels = ds.fetch(window)
             for t in range(3):
-                np.testing.assert_array_equal(s.stacks[t],
-                                              vol[:, s.start + t])
-                np.testing.assert_array_equal(s.labels[t], lbl[s.start + t])
+                np.testing.assert_array_equal(stacks[t], vol[:, start + t])
+                np.testing.assert_array_equal(labels[t], lbl[start + t])
 
     def test_too_long_raises(self):
         with pytest.raises(ValueError):
-            extract_sequences(np.zeros((4, 2, 4, 4)),
-                              np.zeros((2, 4, 4), dtype=np.uint8), 3)
+            SequenceDataset([(np.zeros((4, 2, 4, 4)),
+                              np.zeros((2, 4, 4), dtype=np.uint8))], 3)

@@ -35,29 +35,30 @@ class TestConv2d:
         x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
         k = Tensor([[[[2.0]]]])
         b = Tensor([0.0])
-        out = ops.conv2d(x, k, b, padding="same")
+        out = ops.conv2d(x, k, b)
         np.testing.assert_array_equal(out.data[0, 0], [[2, 4], [6, 8]])
 
     def test_sum_of_window(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 3, 3)))
         b = Tensor([0.0])
-        out = ops.conv2d(x, k, b, padding="valid")
-        assert out.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == 9.0
+        out = ops.conv2d(x, k, b)
+        assert out.shape == (1, 1, 3, 3)
+        assert out.data[0, 0, 1, 1] == 9.0  # the only full window
+        assert out.data[0, 0, 0, 0] == 4.0  # a corner window sees 2x2 input
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 3, 8, 8))
         k = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        out = ops.conv2d(Tensor(x), Tensor(k), Tensor(b), padding="same")
+        out = ops.conv2d(Tensor(x), Tensor(k), Tensor(b))
         np.testing.assert_allclose(out.data, naive_conv2d(x, k, b, 1), atol=1e-6)
 
-    def test_valid_shrinks(self):
+    def test_same_keeps_extents(self):
         out = ops.conv2d(Tensor(np.zeros((1, 1, 8, 6))),
-                         Tensor(np.zeros((2, 1, 3, 3))), None, padding="valid")
-        assert out.shape == (1, 2, 6, 4)
+                         Tensor(np.zeros((2, 1, 5, 5))), None)
+        assert out.shape == (1, 2, 8, 6)
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(0)
@@ -75,7 +76,7 @@ class TestConv2d:
     def test_even_kernel_same_padding_raises(self):
         with pytest.raises(ShapeError, match="odd kernel"):
             ops.conv2d(Tensor(np.zeros((1, 1, 4, 4))),
-                       Tensor(np.zeros((1, 1, 2, 2))), None, padding="same")
+                       Tensor(np.zeros((1, 1, 2, 2))), None)
 
     def test_nonfinite_output_raises(self):
         x = Tensor(np.full((1, 1, 2, 2), 1e308))

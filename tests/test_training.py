@@ -242,17 +242,6 @@ class TestTwoPhase:
         for r in records:
             assert np.isfinite(float(r.split("loss=")[1].split()[0]))
 
-    def test_log_file_written(self, tmp_path):
-        ds = tiny_dataset()
-        config = TrainConfig(batch_size=1, sequence_length=2, phase1_steps=1,
-                             phase2_steps=1, seed=0)
-        params = init_params(ModelConfig(seed=0, **TINY_MODEL))
-        path = tmp_path / "train.log"
-        run_two_phase(config, params, ds, log_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("phase=1 step=0 loss=")
-
     def test_phase2_freezes_bn_statistics(self):
         ds = tiny_dataset(tumor_cases=1, empty_cases=1)
         config = TrainConfig(batch_size=1, sequence_length=2, phase1_steps=2,
