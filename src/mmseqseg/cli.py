@@ -100,11 +100,13 @@ def load_cases(data_dir, normalize=True):
 
 
 def cmd_gen(args):
-    os.makedirs(args.out, exist_ok=True)
-    dims = tuple(int(x) for x in args.dims.split(","))
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError:
+        dims = ()
     if len(dims) != 3:
-        print("error: --dims must be D,H,W", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--dims must be D,H,W")
+    os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         volume, labels = gen_synthetic_case(args.seed + i, dims)
         atomic_write(os.path.join(args.out, f"case_{i}_img.mmv"),

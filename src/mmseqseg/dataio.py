@@ -10,6 +10,8 @@ utf-8 config; per tensor: u32 name length, name bytes, u32 ndim, u32
 dims, f32 LE payload.
 """
 
+import math
+import os
 import struct
 from dataclasses import fields
 
@@ -51,6 +53,12 @@ class NameCollisionError(FormatError):
 
 
 def _read_exact(f, n, what):
+    # n may come from a forged header: check it against the bytes left in
+    # the file before read() allocates n bytes
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise TruncatedPayloadError(
+            f"{what} declares {n} bytes, the file has {left} left")
     buf = f.read(n)
     if len(buf) != n:
         raise TruncatedPayloadError(f"truncated payload while reading {what}")
@@ -157,7 +165,7 @@ def load_checkpoint(path):
                 raise NameCollisionError(f"duplicate tensor name {name}")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
             dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
-            n = int(np.prod(dims)) if dims else 1
+            n = math.prod(dims)
             raw = _read_exact(f, 4 * n, f"payload of {name}")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
 

@@ -1,8 +1,13 @@
 """Differentiable layer primitives on the minimal autograd tensor.
 
-Convolutions are im2col + one big matmul; everything else is plain
-numpy. Convolution is cross-correlation (no kernel flip). All spatial
-ops take NCHW layout.
+All spatial ops take NCHW input and return C-contiguous NCHW arrays.
+Convolution is same-padded cross-correlation (no kernel flip), lowered
+to batched im2col: each image's patches form a (C*kh*kw, H*W) matrix,
+filled tap by tap from shifted windows of the unpadded input (taps that
+fall in the zero padding stay zero, so no padded copy is made). The
+product of the (Cout, C*kh*kw) kernel matrix with it is already the
+(Cout, H*W) NCHW output, so neither the patches nor the result is
+transposed. Everything else is plain numpy on strided views.
 """
 
 import numpy as np
@@ -10,31 +15,41 @@ import numpy as np
 from .tensor import ShapeError, Tensor, make_node
 
 
-def _im2col(x, kh, kw, pad):
-    # x: (N, C, H, W) -> (N*Ho*Wo, C*kh*kw), stride 1
+def _shift(n, d):
+    # for an offset d: the slices out and src of range(n) with
+    # out + d == src, both inside [0, n)
+    lo = max(0, -d)
+    hi = max(lo, min(n, n - d))
+    return slice(lo, hi), slice(lo + d, hi + d)
+
+
+def _taps(h, w, kh, kw):
+    # each kernel tap (dy, dx) of a same-padded window with the output
+    # pixels it reaches inside the image and the input pixels it reads
+    for dy in range(kh):
+        oy, iy = _shift(h, dy - kh // 2)
+        for dx in range(kw):
+            ox, ix = _shift(w, dx - kw // 2)
+            yield dy, dx, (..., oy, ox), (..., iy, ix)
+
+
+def _im2col(x, kh, kw):
+    # x: (N, C, H, W) -> (N, C*kh*kw, H*W), same padding, stride 1
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = h + 2 * pad - kh + 1
-    wo = w + 2 * pad - kw + 1
-    col = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            col[:, :, dy, dx] = x[:, :, dy:dy + ho, dx:dx + wo]
-    return col.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, -1), ho, wo
+    col = np.zeros((n, c, kh, kw, h, w), dtype=x.dtype)
+    for dy, dx, out_win, in_win in _taps(h, w, kh, kw):
+        col[:, :, dy, dx][out_win] = x[in_win]
+    return col.reshape(n, c * kh * kw, h * w)
 
 
-def _col2im(col, x_shape, kh, kw, pad):
-    # inverse scatter-add of _im2col
+def _col2im(col, x_shape, kh, kw):
+    # adjoint of _im2col: scatter-add (N, C*kh*kw, H*W) into x_shape
     n, c, h, w = x_shape
-    ho = h + 2 * pad - kh + 1
-    wo = w + 2 * pad - kw + 1
-    col = col.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=col.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            img[:, :, dy:dy + ho, dx:dx + wo] += col[:, :, dy, dx]
-    return img[:, :, pad:pad + h, pad:pad + w]
+    col = col.reshape(n, c, kh, kw, h, w)
+    img = np.zeros(x_shape, dtype=col.dtype)
+    for dy, dx, out_win, in_win in _taps(h, w, kh, kw):
+        img[in_win] += col[:, :, dy, dx][out_win]
+    return img
 
 
 def conv2d(x, kernel, bias=None):
@@ -48,26 +63,26 @@ def conv2d(x, kernel, bias=None):
         raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel {cin_k}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("same-padding needs odd kernel extents")
-    pad = (kh - 1) // 2
 
-    col, ho, wo = _im2col(x.data, kh, kw, pad)
+    col = _im2col(x.data, kh, kw)
     w_col = kernel.data.reshape(cout, -1)
-    out = col @ w_col.T
+    out = w_col @ col  # (N, Cout, H*W)
     if bias is not None:
-        out = out + bias.data
-    out = out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+        out += bias.data[:, None]
 
     def backward(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(-1, cout)
+        g = g.reshape(n, cout, h * w)
         if kernel.requires_grad:
-            kernel._accumulate((g2.T @ col).reshape(kernel.shape))
+            dk = (g @ col.transpose(0, 2, 1)).sum(axis=0)
+            kernel._accumulate(dk.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
+            bias._accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            x._accumulate(_col2im(g2 @ w_col, x.shape, kh, kw, pad))
+            x._accumulate(_col2im(w_col.T @ g, x.shape, kh, kw))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return make_node(out, parents, backward, "conv2d output")
+    return make_node(out.reshape(n, cout, h, w), parents, backward,
+                     "conv2d output")
 
 
 def conv_transpose2d(x, kernel, bias=None, stride=2):
@@ -131,24 +146,22 @@ def maxpool2x2(x):
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even extents, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    win = (
-        x.data.reshape(n, c, ho, 2, wo, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, ho, wo, 4)
-    )
-    idx = win.argmax(axis=-1)  # first max wins on ties
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    # the four window positions in row-major order, as strided views
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+    corners = [x.data[:, :, a::2, b::2] for a, b in offsets]
+    out = np.maximum(corners[0], corners[1])
+    np.maximum(out, corners[2], out=out)
+    np.maximum(out, corners[3], out=out)
 
     def backward(g):
         if x.requires_grad:
-            dwin = np.zeros_like(win)
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            x._accumulate(
-                dwin.reshape(n, c, ho, wo, 2, 2)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w)
-            )
+            dx = np.empty(x.shape, dtype=x.dtype)
+            free = np.ones(out.shape, dtype=bool)  # window not yet routed
+            for (a, b), corner in zip(offsets, corners):
+                hit = free & (corner == out)
+                np.multiply(g, hit, out=dx[:, :, a::2, b::2])
+                free &= ~hit
+            x._accumulate(dx)
 
     return make_node(out, (x,), backward, "maxpool2x2 output")
 
@@ -195,38 +208,43 @@ def batchnorm(x, params, mode="train"):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = (
-        params.scale.data[None, :, None, None] * xhat
-        + params.shift.data[None, :, None, None]
-    )
     scale, shift = params.scale, params.shift
+    # scale * (x - mean) * inv_std + shift as one per-channel affine
+    a = scale.data * inv_std
+    b = shift.data - mean * a
+    out = x.data * a[:, None, None]
+    out += b[:, None, None]
 
     def backward(g):
+        gsum = g.sum(axis=(0, 2, 3))
+        # xhat is recomputed here, not held from the forward
+        xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        gxhat = (g * xhat).sum(axis=(0, 2, 3))
         if shift.requires_grad:
-            shift._accumulate(g.sum(axis=(0, 2, 3)))
+            shift._accumulate(gsum)
         if scale.requires_grad:
-            scale._accumulate((g * xhat).sum(axis=(0, 2, 3)))
+            scale._accumulate(gxhat)
         if x.requires_grad:
-            coeff = scale.data[None, :, None, None] * inv_std[None, :, None, None]
             if mode == "train":
-                gm = g.mean(axis=(0, 2, 3))[None, :, None, None]
-                gx = (g * xhat).mean(axis=(0, 2, 3))[None, :, None, None]
-                x._accumulate(coeff * (g - gm - xhat * gx))
+                xhat *= (gxhat / m)[:, None, None]
+                dx = g - (gsum / m)[:, None, None]
+                dx -= xhat
+                dx *= a[:, None, None]
             else:
-                x._accumulate(coeff * g)
+                dx = g * a[:, None, None]
+            x._accumulate(dx)
 
     return make_node(out, (x, scale, shift), backward, "batchnorm output")
 
 
 def relu(x):
-    mask = x.data > 0
+    out = np.maximum(x.data, 0)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(g * (out > 0))
 
-    return make_node(x.data * mask, (x,), backward, "relu output")
+    return make_node(out, (x,), backward, "relu output")
 
 
 def sigmoid(x):

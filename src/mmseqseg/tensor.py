@@ -57,7 +57,7 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
             self.grad = self.grad + g
 

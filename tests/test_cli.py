@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts on disk, exit codes, determinism."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -80,6 +81,12 @@ class TestGen:
 
     def test_no_partial_files(self, tiny_data):
         assert not [n for n in os.listdir(tiny_data) if n.endswith(".partial")]
+
+    @pytest.mark.parametrize("dims", ["a,16,16", "16,16"])
+    def test_bad_dims_is_usage_error(self, tmp_path, dims):
+        assert run("gen", "--out", str(tmp_path / "d"), "--dims", dims) \
+            == EXIT_USAGE
+        assert not (tmp_path / "d").exists()
 
 
 class TestTrain:
@@ -220,6 +227,15 @@ class TestPredict:
         write_volume(path, vol, "modal")
         assert run("predict", "--model", str(ckpt), "--volume", str(path),
                    "--out", str(tmp_path / "o.mmv")) == EXIT_DATA
+
+    def test_forged_volume_header_is_data_error(self, ckpt, tmp_path):
+        # a 21-byte MMV whose header declares four 0xFFFFFFFF extents
+        path = tmp_path / "forged.mmv"
+        path.write_bytes(b"MMV1" + struct.pack("<4I", *[0xFFFFFFFF] * 4)
+                         + b"\x00")
+        assert run("predict", "--model", str(ckpt), "--volume", str(path),
+                   "--out", str(tmp_path / "o.mmv")) == EXIT_DATA
+        assert not (tmp_path / "o.mmv").exists()
 
 
 class TestGradcheckCommand:

@@ -69,6 +69,15 @@ class TestVolumeFormat:
         with pytest.raises(TruncatedPayloadError):
             read_volume(path)
 
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_forged_huge_dims(self, tmp_path, code):
+        # the declared payload is checked against the file before read()
+        path = tmp_path / "forged.mmv"
+        path.write_bytes(b"MMV1" + struct.pack("<4I", *[0xFFFFFFFF] * 4)
+                         + struct.pack("<B", code))
+        with pytest.raises(FormatError, match="declares"):
+            read_volume(path)
+
     def test_unknown_dtype(self, tmp_path):
         vol = np.zeros((1, 2, 4, 4), dtype=np.float32)
         path = tmp_path / "v.mmv"
@@ -137,6 +146,20 @@ class TestCheckpointFormat:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TruncatedPayloadError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("record", [
+        struct.pack("<I", 0xFFFFFFFF),
+        struct.pack("<I", 1) + b"x" + struct.pack("<I", 0xFFFFFFFF),
+        struct.pack("<I", 1) + b"x" + struct.pack("<5I", 4, *[0xFFFFFFFF] * 4),
+        # 2**64 elements, a count that wraps to 0 in int64 arithmetic
+        struct.pack("<I", 1) + b"x" + struct.pack("<5I", 4, *[2**16] * 4),
+    ], ids=["name_length", "ndim", "dims", "dims_wrap"])
+    def test_forged_huge_record(self, tmp_path, record):
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        path.write_bytes(path.read_bytes() + record)
+        with pytest.raises(FormatError, match="declares"):
             load_checkpoint(path)
 
     def test_config_text_pinned(self, tmp_path):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from mmseqseg import ops
 from mmseqseg.gradsuite import check_end_to_end
 from mmseqseg.network import (ModelConfig, init_params, forward, forward_logits,
                               orthogonal_kernel, predict_volume)
+from mmseqseg.tensor import Tensor
 
 TINY = dict(encoder_channels=(2, 3, 4, 5), input_height=16, input_width=16,
             sequence_length=2)
@@ -126,6 +128,32 @@ class TestForward:
         assert len(inter["cmc"]) == 4
         assert inter["cmc"][0].shape == (2, 2, 8, 8)
         assert inter["cmc"][3].shape == (2, 5, 1, 1)
+
+
+class TestGraph:
+    def test_nodes_c_contiguous_and_counted(self):
+        params = init_params(ModelConfig(seed=0, **TINY))
+        seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
+        seen, stack = {}, [forward_logits(params, seq.astype(np.float32))]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        # 138 op outputs and 110 parameters, whatever the kernel layouts
+        assert len(seen) == 248
+        assert all(n.data.flags.c_contiguous for n in seen.values())
+
+    def test_accumulate_keeps_stored_gradient(self):
+        # diamond: both inputs of add are x, so x is reached twice; its
+        # first gradient is add's upstream array itself, which the second
+        # accumulation must not write into
+        x = Tensor(np.arange(6.0).reshape(1, 1, 2, 3), requires_grad=True)
+        s = ops.add(x, x)
+        coeffs = np.linspace(1.0, 2.0, 6).reshape(s.shape)
+        ops.project(s, coeffs).backward()
+        np.testing.assert_array_equal(s.grad, coeffs)
+        np.testing.assert_array_equal(x.grad, 2 * coeffs)
 
 
 class TestEndToEndGradient:

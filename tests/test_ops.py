@@ -78,11 +78,55 @@ class TestConv2d:
             ops.conv2d(Tensor(np.zeros((1, 1, 4, 4))),
                        Tensor(np.zeros((1, 1, 2, 2))), None)
 
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_batched_non_square_matches_oracle(self, cin, k):
+        rng = np.random.default_rng(10 * cin + k)
+        x = rng.standard_normal((3, cin, 5, 7))
+        kern = rng.standard_normal((2, cin, k, k))
+        b = rng.standard_normal(2)
+        out = ops.conv2d(Tensor(x), Tensor(kern), Tensor(b))
+        np.testing.assert_allclose(out.data, naive_conv2d(x, kern, b, k // 2),
+                                   atol=1e-12)
+
     def test_nonfinite_output_raises(self):
         x = Tensor(np.full((1, 1, 2, 2), 1e308))
         k = Tensor(np.full((1, 1, 1, 1), 1e308))
         with pytest.raises(NumericalError):
             ops.conv2d(x, k, None)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("shape,kh,kw", [((3, 2, 5, 7), 3, 3),
+                                             ((2, 1, 4, 3), 5, 3),
+                                             ((1, 2, 2, 3), 7, 5)])
+    def test_col2im_is_adjoint(self, shape, kh, kw):
+        # <im2col(x), y> == <x, col2im(y)>; the last case has a kernel
+        # larger than the image
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(shape)
+        n, c, h, w = shape
+        y = rng.standard_normal((n, c * kh * kw, h * w))
+        col = ops._im2col(x, kh, kw)
+        assert col.shape == y.shape
+        np.testing.assert_allclose((col * y).sum(),
+                                   (x * ops._col2im(y, shape, kh, kw)).sum(),
+                                   rtol=1e-12)
+
+
+class TestLayout:
+    def test_outputs_c_contiguous(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((2, 3, 6, 4)))
+        conv = ops.conv2d(x, Tensor(rng.standard_normal((5, 3, 3, 3))),
+                          Tensor(np.zeros(5)))
+        bn = BatchNormParams(5, dtype=np.float64)
+        outs = {"conv2d": conv,
+                "batchnorm": ops.batchnorm(conv, bn, "train"),
+                "maxpool2x2": ops.maxpool2x2(conv),
+                "relu": ops.relu(conv)}
+        for name, out in outs.items():
+            assert out.data.flags.c_contiguous, name
 
 
 class TestConvTranspose2d:
@@ -157,6 +201,26 @@ class TestMaxPool:
         np.testing.assert_array_equal(x.grad[0, 0], [[1, 0], [0, 0]])
 
 
+    def test_gradient_matches_argmax_rule(self):
+        # small integers give many ties; the gradient goes to the first
+        # maximum of each window in row-major order, as argmax picks it
+        rng = np.random.default_rng(19)
+        n, c, h, w = 2, 3, 6, 8
+        x = Tensor(rng.integers(0, 3, size=(n, c, h, w)).astype(np.float64),
+                   requires_grad=True)
+        g = rng.standard_normal((n, c, h // 2, w // 2))
+        ops.project(ops.maxpool2x2(x), g).backward()
+        win = (x.data.reshape(n, c, h // 2, 2, w // 2, 2)
+               .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4))
+        expect = np.zeros_like(win)
+        np.put_along_axis(expect, win.argmax(axis=-1)[..., None],
+                          g[..., None], axis=-1)
+        expect = (expect.reshape(n, c, h // 2, w // 2, 2, 2)
+                  .transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w))
+        assert (win == win.max(axis=-1, keepdims=True)).sum(axis=-1).max() > 1
+        np.testing.assert_array_equal(x.grad, expect)
+
+
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(5)
@@ -188,6 +252,22 @@ class TestBatchNorm:
                 + bn.shift.data[c]
             np.testing.assert_allclose(out[:, c], expect, atol=1e-5)
 
+    def test_eval_matches_formula(self):
+        rng = np.random.default_rng(20)
+        bn = BatchNormParams(3)
+        bn.scale.data = rng.standard_normal(3).astype(np.float32)
+        bn.shift.data = rng.standard_normal(3).astype(np.float32)
+        bn.running_mean = rng.standard_normal(3).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, 3).astype(np.float32)
+        x = (rng.standard_normal((2, 3, 4, 5)) * 2).astype(np.float32)
+        out = ops.batchnorm(Tensor(x), bn, "eval").data
+        c = (slice(None), None, None)
+        expect = ((x - bn.running_mean[c]) / np.sqrt(bn.running_var[c]
+                                                     + bn.epsilon)
+                  * bn.scale.data[c] + bn.shift.data[c])
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, expect, rtol=1e-5, atol=1e-5)
+
     def test_running_stats_ema(self):
         bn = BatchNormParams(1, dtype=np.float64)
         x = np.ones((1, 1, 2, 2)) * 4.0
@@ -209,6 +289,13 @@ class TestActivations:
     def test_relu_values(self):
         out = ops.relu(Tensor(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)))
         np.testing.assert_array_equal(out.data.reshape(-1), [0, 0, 2])
+
+    def test_relu_gradient_zero_at_and_below_zero(self):
+        x = Tensor(np.array([[[[-2.0, -0.0, 0.0, 1e-300, 3.0]]]]),
+                   requires_grad=True)
+        g = np.array([5.0, 7.0, 11.0, 13.0, 17.0]).reshape(1, 1, 1, 5)
+        ops.project(ops.relu(x), g).backward()
+        np.testing.assert_array_equal(x.grad.reshape(-1), [0, 0, 0, 13, 17])
 
     def test_sigmoid_tanh_at_zero(self):
         z = Tensor(np.zeros((1, 1, 1, 1)))
