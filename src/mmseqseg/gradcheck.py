@@ -6,6 +6,8 @@ hand in float64 tensors so the difference quotient has headroom.
 
 import numpy as np
 
+from .tensor import no_grad
+
 
 class GradCheckReport:
     def __init__(self, tolerance):
@@ -37,8 +39,10 @@ def grad_check(fn, tensors, tolerance=1e-4, step_scale=1e-4, max_entries=None,
     """Compare analytic gradients of scalar fn() against central differences.
 
     fn rebuilds its graph from `tensors` (a dict name -> Tensor) on every
-    call and returns a scalar Tensor. If max_entries is given, only a
-    random subset of entries per tensor is checked (seeded by rng).
+    call and returns a scalar Tensor. Only the analytic pass keeps its
+    graph; the finite-difference calls run under no_grad(). If
+    max_entries is given, only a random subset of entries per tensor is
+    checked (seeded by rng).
     """
     report = GradCheckReport(tolerance)
     for t in tensors.values():
@@ -69,10 +73,11 @@ def grad_check(fn, tensors, tolerance=1e-4, step_scale=1e-4, max_entries=None,
         for i in idxs:
             orig = flat[i]
             eps = step_scale * max(1.0, abs(orig))
-            flat[i] = orig + eps
-            f_plus = float(fn().data)
-            flat[i] = orig - eps
-            f_minus = float(fn().data)
+            with no_grad():
+                flat[i] = orig + eps
+                f_plus = float(fn().data)
+                flat[i] = orig - eps
+                f_minus = float(fn().data)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * eps)
             if not np.isfinite(numeric):

@@ -17,7 +17,7 @@ from . import ops
 from .convlstm import ConvLstmParams, convlstm_sequence
 from .crossmodal import CmcParams, cmc_forward, mrf_fuse, stack_modalities
 from .ops import BatchNormParams, batchnorm, conv2d, conv_transpose2d, maxpool2x2, relu
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, no_grad
 
 N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
 
@@ -254,11 +254,13 @@ def forward(params, sequence, mode="eval", intermediates=None):
     """Probability maps for a sequence of modal slice stacks.
 
     sequence: list of T (M,H,W) arrays or one (T,M,H,W) array.
-    Returns a list of T (K,H,W) probability arrays.
+    Returns a list of T (K,H,W) probability arrays. Builds no autograd
+    graph, so each op's saved buffers die as soon as the op returns.
     """
     x_seq = np.asarray([np.asarray(s) for s in sequence]) \
         if isinstance(sequence, (list, tuple)) else np.asarray(sequence)
-    logits = forward_logits(params, x_seq, mode, intermediates)
+    with no_grad():
+        logits = forward_logits(params, x_seq, mode, intermediates)
     probs = ops.softmax(logits.data, axis=1)
     return [probs[i] for i in range(probs.shape[0])]
 

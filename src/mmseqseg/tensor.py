@@ -4,7 +4,17 @@ Holds a dense numpy array plus an optional gradient and a backward
 closure. Operations live in ops.py and build the graph; calling
 ``backward()`` on a scalar output accumulates gradients into every
 reachable tensor with ``requires_grad=True``.
+
+Memory: inside ``no_grad()`` ops record no parents and no backward
+closure, so the buffers a closure would save (im2col columns, pooling
+inputs, batch-norm inputs) die as soon as the op returns;
+``network.forward`` (and with it predict and eval) runs that way. The
+backward sweep releases each node's closure and parents once it has
+run, so a saved buffer is freed as soon as it is dead, and one
+``backward()`` consumes the graph.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,8 +33,26 @@ def check_finite(arr, what):
     return arr
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Ops inside build no graph: outputs carry no parents and no
+    backward closure. Nests, and restores recording on exit, also when
+    an exception leaves the block."""
+    global _recording
+    outer = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_swept")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -32,6 +60,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._swept = False  # set once a backward sweep released this node
 
     @property
     def shape(self):
@@ -66,6 +95,12 @@ class Tensor:
 
         seed optionally replaces the default gradient of 1 (used to
         scale contributions when averaging losses over a batch).
+
+        One backward consumes the graph: each node drops its backward
+        closure and its parents once the sweep has passed it, so the
+        buffers the closure saved are freed as soon as they are dead.
+        Gradients stay on every tensor that received one. A second
+        backward() through any released node raises RuntimeError.
         """
         if self.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
@@ -79,6 +114,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._swept:
+                raise RuntimeError("backward() already ran on this graph")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -87,17 +124,24 @@ class Tensor:
             self.grad = np.ones_like(self.data)
         else:
             self.grad = np.full_like(self.data, seed)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # reverse topological order
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 check_finite(node.grad, "gradient (backward sweep)")
                 node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
+            node._swept = True
 
 
 def make_node(data, parents, backward, what="op output"):
-    """Build a graph tensor from already-computed forward data."""
+    """Build a graph tensor from already-computed forward data. Under
+    no_grad() the output is a plain constant and `backward` is dropped."""
     check_finite(data, what)
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward

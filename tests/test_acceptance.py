@@ -95,6 +95,7 @@ def test_A1_gradient_integrity():
             + (f", failures={failures}" if failures else ""))
 
 
+@pytest.mark.slow
 def test_A2_overfit_sanity(train_cases, overfit_run):
     params, losses, elapsed = overfit_run
     preds = [predict_volume(params, img, 3) for img, _ in train_cases]
@@ -106,6 +107,7 @@ def test_A2_overfit_sanity(train_cases, overfit_run):
             f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_A3_two_phase_direction(train_cases, overfit_run):
     held_out = make_corpus(100)
     two_phase, _, _ = overfit_run

@@ -1,13 +1,17 @@
-"""Model assembly: init, shapes, determinism, symmetry, prediction."""
+"""Model assembly: init, shapes, determinism, symmetry, graph-free
+inference, memory, prediction."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mmseqseg import ops
+from mmseqseg import crossmodal, ops, tensor
 from mmseqseg.gradsuite import check_end_to_end
 from mmseqseg.network import (ModelConfig, init_params, forward, forward_logits,
                               orthogonal_kernel, predict_volume)
-from mmseqseg.tensor import Tensor
+from mmseqseg.tensor import ShapeError, Tensor, no_grad
+from mmseqseg.training import OptimizerState, TrainConfig, train_step
 
 TINY = dict(encoder_channels=(2, 3, 4, 5), input_height=16, input_width=16,
             sequence_length=2)
@@ -130,19 +134,24 @@ class TestForward:
         assert inter["cmc"][3].shape == (2, 5, 1, 1)
 
 
+def _graph(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
 class TestGraph:
     def test_nodes_c_contiguous_and_counted(self):
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
-        seen, stack = {}, [forward_logits(params, seq.astype(np.float32))]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen[id(node)] = node
-                stack.extend(node._parents)
+        nodes = _graph(forward_logits(params, seq.astype(np.float32)))
         # 138 op outputs and 110 parameters, whatever the kernel layouts
-        assert len(seen) == 248
-        assert all(n.data.flags.c_contiguous for n in seen.values())
+        assert len(nodes) == 248
+        assert all(n.data.flags.c_contiguous for n in nodes)
 
     def test_accumulate_keeps_stored_gradient(self):
         # diamond: both inputs of add are x, so x is reached twice; its
@@ -154,6 +163,104 @@ class TestGraph:
         ops.project(s, coeffs).backward()
         np.testing.assert_array_equal(s.grad, coeffs)
         np.testing.assert_array_equal(x.grad, 2 * coeffs)
+
+
+def _batch(config, size, seed):
+    rng = np.random.default_rng(seed)
+    t, m = config.sequence_length, config.modality_count
+    h, w = config.input_height, config.input_width
+    return [(rng.standard_normal((t, m, h, w)).astype(np.float32),
+             rng.integers(0, config.class_count, (t, h, w)))
+            for _ in range(size)]
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestGraphFree:
+    def test_no_grad_forward_records_no_graph(self, monkeypatch):
+        made = []
+
+        def recording(*args, **kwargs):
+            out = tensor.make_node(*args, **kwargs)
+            made.append(out)
+            return out
+        monkeypatch.setattr(ops, "make_node", recording)
+        monkeypatch.setattr(crossmodal, "make_node", recording)
+        params = init_params(ModelConfig(seed=0, **TINY))
+        seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
+        with no_grad():
+            logits = forward_logits(params, seq.astype(np.float32), "eval")
+        assert len(made) == 138  # every op output of the graph-built pass
+        assert _graph(logits) == [logits]
+        assert all(n._backward is None and n._parents == () and
+                   not n.requires_grad for n in made)
+
+    def test_forward_matches_graph_built_logits(self):
+        params = init_params(ModelConfig(seed=1, **TINY))
+        seq = np.random.default_rng(2).standard_normal(
+            (2, 4, 16, 16)).astype(np.float32)
+        logits = forward_logits(params, seq, "eval")
+        assert logits._backward is not None
+        ref = ops.softmax(logits.data, axis=1)
+        probs = forward(params, seq, "eval")
+        assert probs[0].dtype == np.float32
+        np.testing.assert_array_equal(np.stack(probs), ref)
+
+    def test_failed_forward_restores_recording(self):
+        config = ModelConfig(seed=3, **TINY)
+        params = init_params(config)
+        with pytest.raises(ShapeError, match="modalit"):
+            forward(params, np.zeros((2, 3, 16, 16)), mode="eval")
+        assert tensor._recording
+        named = params.named_tensors()
+        train_step(params, named, _batch(config, 2, 5), np.ones(5),
+                   OptimizerState(named), 1e-3, TrainConfig())
+        assert all(p.grad is not None for p in named.values())
+
+    def test_backward_releases_every_interior_node(self):
+        params = init_params(ModelConfig(seed=5, **TINY))
+        (x_seq, y_seq), = _batch(params.config, 1, 6)
+        loss, _ = ops.softmax_ce_loss(forward_logits(params, x_seq), y_seq,
+                                      np.ones(5, dtype=np.float32))
+        nodes = _graph(loss)
+        interior = [n for n in nodes if n._backward is not None]
+        assert len(interior) == 139  # 138 op outputs and the loss
+        loss.backward()
+        assert all(n._backward is None and n._parents == () for n in interior)
+        assert all(p.grad is not None for p in params.named_tensors().values())
+
+
+class TestMemory:
+    """tracemalloc sees numpy's buffers, so peaks track array memory."""
+
+    def test_forward_peak_a_third_of_graph_built(self):
+        params = init_params(ModelConfig(seed=0))
+        seq = np.random.default_rng(1).standard_normal(
+            (3, 4, 64, 64)).astype(np.float32)
+        graph = _peak_mb(lambda: forward_logits(params, seq, "eval"))
+        free = _peak_mb(lambda: forward(params, seq, "eval"))
+        assert free < graph / 3, (free, graph)
+
+    def test_train_step_peak_flat_in_batch(self):
+        config = ModelConfig(seed=0)
+        params = init_params(config)
+        named = params.named_tensors()
+        state = OptimizerState(named)
+
+        def step(size):
+            batch = _batch(config, size, size)
+            return _peak_mb(lambda: train_step(params, named, batch,
+                                               np.ones(5), state, 1e-4,
+                                               TrainConfig()))
+        one, three = step(1), step(3)
+        assert three < 1.25 * one, (three, one)
 
 
 class TestEndToEndGradient:
