@@ -2,12 +2,20 @@
 
 Gates use same-padded convolutions so hidden maps keep the input's
 spatial extents; weights are shared across all timesteps.
+
+The twelve gate tensors are stacked along the output-channel axis in
+i, f, c, o order once per call: one (4*Ch, Cx, k, k) input kernel, one
+(4*Ch, Ch, k, k) recurrent kernel and one (4*Ch,) bias (the form of Shi
+et al. 2015). The input convolution does not depend on the recurrence,
+so a sequence runs it once over all T inputs; each step then adds one
+recurrent convolution of h_{t-1} (none at t=0, where h is zero) and two
+cell nodes, c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t).
 """
 
 import numpy as np
 
-from .ops import add, conv2d, elementwise_mul, sigmoid, tanh
-from .tensor import ShapeError, Tensor
+from .ops import concat0, conv2d, expit
+from .tensor import ShapeError, Tensor, make_node
 
 
 class ConvLstmParams:
@@ -41,6 +49,12 @@ class ConvLstmParams:
             out[f"{prefix}b_{g}"] = getattr(self, f"b_{g}")
         return out
 
+    def stacked(self):
+        """(input kernel, recurrent kernel, bias) with the gates stacked
+        along the output-channel axis in i, f, c, o order."""
+        return tuple(concat0([getattr(self, f"{name}{g}") for g in self.GATES])
+                     for name in ("W_x", "W_h", "b_"))
+
 
 class ConvLstmState:
     """Hidden and cell maps, same shape (N, Ch, h, w)."""
@@ -57,37 +71,88 @@ class ConvLstmState:
                    Tensor(np.zeros((n, channels, hs, ws), dtype=dtype)))
 
 
-def _gate(x_t, h_prev, wx, wh, b):
-    return add(conv2d(x_t, wx, b), conv2d(h_prev, wh, None))
+def _cell(zx, lo, zh, c_prev):
+    """One step of the cell on stacked gate pre-activations: rows
+    lo:lo+N of the input projection zx plus the recurrent projection zh
+    (None when h_{t-1} is zero). Returns the nodes (h_t, c_t)."""
+    n, ch = c_prev.shape[:2]
+    z = zx.data[lo:lo + n]
+    if zh is not None:
+        z = z + zh.data
+    i, f, o = (expit(z[:, k * ch:(k + 1) * ch]) for k in (0, 1, 3))
+    g = np.tanh(z[:, 2 * ch:3 * ch])
+    c = c_prev.data * f
+    c += i * g
+    tc = np.tanh(c)
+
+    def route(dz):
+        # dz (N, 4*Ch, h, w) back to both projections
+        if zh is not None and zh.requires_grad:
+            zh._accumulate(dz)
+        if zx.requires_grad:
+            full = np.zeros(zx.shape, dtype=zx.dtype)
+            full[lo:lo + n] = dz
+            zx._accumulate(full)
+
+    def c_backward(gc):
+        dz = np.zeros(z.shape, dtype=z.dtype)
+        dz[:, :ch] = gc * g * i * (1.0 - i)
+        dz[:, ch:2 * ch] = gc * c_prev.data * f * (1.0 - f)
+        dz[:, 2 * ch:3 * ch] = gc * i * (1.0 - g * g)
+        if c_prev.requires_grad:
+            c_prev._accumulate(gc * f)
+        route(dz)
+
+    def h_backward(gh):
+        dz = np.zeros(z.shape, dtype=z.dtype)
+        dz[:, 3 * ch:] = gh * tc * o * (1.0 - o)
+        if c_t.requires_grad:
+            c_t._accumulate(gh * o * (1.0 - tc * tc))
+        route(dz)
+
+    projections = (zx,) if zh is None else (zx, zh)
+    c_t = make_node(c, projections + (c_prev,), c_backward,
+                    "convLSTM cell state")
+    h_t = make_node(o * tc, projections + (c_t,), h_backward,
+                    "convLSTM hidden state")
+    return h_t, c_t
 
 
 def convlstm_step(x_t, state, params):
     """One recurrence step; returns (h_t, next_state)."""
-    if x_t.shape[-2:] != state.h.shape[-2:]:
+    if (x_t.shape[0], *x_t.shape[-2:]) != (state.h.shape[0], *state.h.shape[-2:]):
         raise ShapeError(
-            f"input spatial {x_t.shape[-2:]} does not match state "
-            f"{state.h.shape[-2:]}"
+            f"input batch and spatial {x_t.shape} do not match state "
+            f"{state.h.shape}"
         )
-    p = params
-    i_t = sigmoid(_gate(x_t, state.h, p.W_xi, p.W_hi, p.b_i))
-    f_t = sigmoid(_gate(x_t, state.h, p.W_xf, p.W_hf, p.b_f))
-    g_t = tanh(_gate(x_t, state.h, p.W_xc, p.W_hc, p.b_c))
-    o_t = sigmoid(_gate(x_t, state.h, p.W_xo, p.W_ho, p.b_o))
-    c_t = add(elementwise_mul(state.c, f_t), elementwise_mul(i_t, g_t))
-    h_t = elementwise_mul(o_t, tanh(c_t))
+    wx, wh, b = params.stacked()
+    h_t, c_t = _cell(conv2d(x_t, wx, b), 0, conv2d(state.h, wh, None), state.c)
     return h_t, ConvLstmState(h_t, c_t)
 
 
 def convlstm_sequence(xs, params):
-    """Unroll over a list of inputs with shared weights from a zero
-    state; returns all h_t."""
-    if not xs:
+    """Unroll with shared weights from a zero state; returns all h_t.
+
+    xs is a list of T (N, Cx, h, w) inputs, or one (T, Cx, h, w) tensor
+    holding the T steps of a single sequence (N = 1).
+    """
+    t_len = xs.shape[0] if isinstance(xs, Tensor) else len(xs)
+    if t_len == 0:
         raise ShapeError("convlstm_sequence needs at least one input")
-    n, _, hs, ws = xs[0].shape
-    state = ConvLstmState.zeros(n, params.hidden_channels, hs, ws,
-                                dtype=xs[0].dtype)
+    if isinstance(xs, Tensor):
+        x = xs
+    elif any(x_t.shape != xs[0].shape for x_t in xs):
+        raise ShapeError("convlstm_sequence inputs must share one shape")
+    else:
+        x = concat0(list(xs))  # time-major: step t is rows t*N:(t+1)*N
+    n = x.shape[0] // t_len
+    wx, wh, b = params.stacked()
+    zx = conv2d(x, wx, b)  # every step's input projection at once
+    c = Tensor(np.zeros((n, params.hidden_channels) + x.shape[2:],
+                        dtype=x.dtype))
     hs_out = []
-    for x_t in xs:
-        h_t, state = convlstm_step(x_t, state, params)
+    for t in range(t_len):
+        zh = conv2d(hs_out[-1], wh, None) if hs_out else None
+        h_t, c = _cell(zx, t * n, zh, c)
         hs_out.append(h_t)
     return hs_out

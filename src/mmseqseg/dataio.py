@@ -177,6 +177,11 @@ def load_checkpoint(path):
         return tensors[name]
 
     params = ModelParams(config)
+    known = params.named_tensors().keys() | params.named_state().keys()
+    unknown = [name for name in tensors if name not in known]
+    if unknown:
+        raise FormatError(
+            f"checkpoint holds unknown tensor {', '.join(unknown)}")
     for name, t in params.named_tensors().items():
         t.data = stored(name, t)
     for name, bn in params.batchnorms().items():

@@ -237,10 +237,8 @@ def forward_logits(params, x_seq, mode="train", intermediates=None):
     if intermediates is not None:
         intermediates["cmc"] = [c.data for c in cmc_maps]
 
-    t = x_seq.shape[0]
-    xs = [ops.take(cmc_maps[-1], i) for i in range(t)]
-    hs = convlstm_sequence(xs, params.lstm)
-    d = ops.concat0(hs)
+    # the deepest CMC map (T, C, h, w) is the T steps of one sequence
+    d = ops.concat0(convlstm_sequence(cmc_maps[-1], params.lstm))
 
     for stage, s in zip(params.decoder, range(N_SCALES - 1, -1, -1)):
         d = mrf_fuse(cmc_maps[s], d)

@@ -4,11 +4,14 @@ All spatial ops take NCHW input and return C-contiguous NCHW arrays.
 Convolution is same-padded cross-correlation (no kernel flip), lowered
 to batched im2col: each image's patches form a (C*kh*kw, H*W) matrix,
 filled tap by tap from shifted windows of the unpadded input (taps that
-fall in the zero padding stay zero, so no padded copy is made). The
+fall in the zero padding stay zero, so no padded copy is made; the
+slices of each tap are planned once per shape and cached). The
 product of the (Cout, C*kh*kw) kernel matrix with it is already the
 (Cout, H*W) NCHW output, so neither the patches nor the result is
 transposed. Everything else is plain numpy on strided views.
 """
+
+import functools
 
 import numpy as np
 
@@ -23,22 +26,28 @@ def _shift(n, d):
     return slice(lo, hi), slice(lo + d, hi + d)
 
 
+@functools.lru_cache(maxsize=256)
 def _taps(h, w, kh, kw):
-    # each kernel tap (dy, dx) of a same-padded window with the output
-    # pixels it reaches inside the image and the input pixels it reads
+    # the tap plan of a same-padded window over an h x w image: for each
+    # kernel tap (dy, dx), the index of the output pixels it reaches in
+    # the (N, C, kh, kw, H, W) patch buffer and of the input pixels it
+    # reads in (N, C, H, W); built once per shape
+    plan = []
     for dy in range(kh):
         oy, iy = _shift(h, dy - kh // 2)
         for dx in range(kw):
             ox, ix = _shift(w, dx - kw // 2)
-            yield dy, dx, (..., oy, ox), (..., iy, ix)
+            plan.append(((slice(None), slice(None), dy, dx, oy, ox),
+                         (slice(None), slice(None), iy, ix)))
+    return tuple(plan)
 
 
 def _im2col(x, kh, kw):
     # x: (N, C, H, W) -> (N, C*kh*kw, H*W), same padding, stride 1
     n, c, h, w = x.shape
     col = np.zeros((n, c, kh, kw, h, w), dtype=x.dtype)
-    for dy, dx, out_win, in_win in _taps(h, w, kh, kw):
-        col[:, :, dy, dx][out_win] = x[in_win]
+    for out_idx, in_idx in _taps(h, w, kh, kw):
+        col[out_idx] = x[in_idx]
     return col.reshape(n, c * kh * kw, h * w)
 
 
@@ -47,8 +56,8 @@ def _col2im(col, x_shape, kh, kw):
     n, c, h, w = x_shape
     col = col.reshape(n, c, kh, kw, h, w)
     img = np.zeros(x_shape, dtype=col.dtype)
-    for dy, dx, out_win, in_win in _taps(h, w, kh, kw):
-        img[in_win] += col[:, :, dy, dx][out_win]
+    for out_idx, in_idx in _taps(h, w, kh, kw):
+        img[in_idx] += col[out_idx]
     return img
 
 
@@ -247,13 +256,15 @@ def relu(x):
     return make_node(out, (x,), backward, "relu output")
 
 
-def sigmoid(x):
+def expit(z):
+    """Plain-array logistic sigmoid in a form that cannot overflow."""
     with np.errstate(over="ignore"):
-        s = np.where(
-            x.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(x.data))),
-            np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-        )
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(x):
+    s = expit(x.data)
 
     def backward(g):
         if x.requires_grad:

@@ -28,7 +28,7 @@ class ShapeError(ValueError):
 
 
 def check_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values in {what}")
     return arr
 

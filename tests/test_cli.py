@@ -237,6 +237,18 @@ class TestPredict:
                    "--out", str(tmp_path / "o.mmv")) == EXIT_DATA
         assert not (tmp_path / "o.mmv").exists()
 
+    def test_unknown_checkpoint_tensor_is_data_error(self, ckpt, tiny_data,
+                                                     tmp_path):
+        # a well-formed (2,) float32 record under a name no model has
+        name = b"lstm.W_xz"
+        ckpt.write_bytes(ckpt.read_bytes() + struct.pack("<I", len(name)) + name
+                         + struct.pack("<2I", 1, 2) + bytes(8))
+        out = tmp_path / "o.mmv"
+        assert run("predict", "--model", str(ckpt),
+                   "--volume", str(tiny_data / "case_0_img.mmv"),
+                   "--out", str(out)) == EXIT_DATA
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_unreachable_tolerance_fails(self, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mmseqseg import convlstm, ops
 from mmseqseg.convlstm import (ConvLstmParams, ConvLstmState, convlstm_sequence,
                                convlstm_step)
 from mmseqseg.gradsuite import check_convlstm_sequence, check_convlstm_step
@@ -79,6 +80,14 @@ class TestStep:
             convlstm_step(Tensor(np.zeros((1, 1, 4, 4))),
                           ConvLstmState.zeros(1, 1, 6, 6), p)
 
+    def test_batch_mismatch_raises(self):
+        # the stacked cell slices the input projection by the state's
+        # batch, so a larger input batch must not be cut silently
+        p = ConvLstmParams(1, 1, 3)
+        with pytest.raises(ShapeError):
+            convlstm_step(Tensor(np.zeros((2, 1, 4, 4))),
+                          ConvLstmState.zeros(1, 1, 4, 4), p)
+
     def test_gradcheck(self):
         report = check_convlstm_step(0, 1e-4)
         assert report.passed, report.max_rel_error
@@ -115,3 +124,115 @@ class TestSequence:
     def test_bptt_gradcheck(self):
         report = check_convlstm_sequence(0, 1e-4, steps=3)
         assert report.passed, report.max_rel_error
+
+
+def reference_step(x_t, state, p):
+    """The per-gate cell, kept as an oracle: eight convolutions and a
+    separate node for every activation, sum and product."""
+    def gate(g, act):
+        return act(ops.add(
+            ops.conv2d(x_t, getattr(p, f"W_x{g}"), getattr(p, f"b_{g}")),
+            ops.conv2d(state.h, getattr(p, f"W_h{g}"), None)))
+
+    i_t, f_t = gate("i", ops.sigmoid), gate("f", ops.sigmoid)
+    g_t, o_t = gate("c", ops.tanh), gate("o", ops.sigmoid)
+    c_t = ops.add(ops.elementwise_mul(state.c, f_t), ops.elementwise_mul(i_t, g_t))
+    h_t = ops.elementwise_mul(o_t, ops.tanh(c_t))
+    return h_t, ConvLstmState(h_t, c_t)
+
+
+def reference_sequence(xs, p):
+    n, _, hs, ws = xs[0].shape
+    state = ConvLstmState.zeros(n, p.hidden_channels, hs, ws, dtype=np.float64)
+    out = []
+    for x_t in xs:
+        h_t, state = reference_step(x_t, state, p)
+        out.append(h_t)
+    return out
+
+
+def leaves(*shapes, rng):
+    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+
+def values_and_grads(outputs, tensors, rng_seed):
+    """Forward values, then the gradients of a fixed random projection
+    of every output into every tensor (all of them zeroed first)."""
+    rng = np.random.default_rng(rng_seed)
+    for t in tensors:
+        t.zero_grad()
+    total = None
+    for out in outputs:
+        term = ops.project(out, rng.standard_normal(out.shape))
+        total = term if total is None else ops.add(total, term)
+    total.backward()
+    return [o.data for o in outputs], [t.grad for t in tensors]
+
+
+class TestStackedCell:
+    """The gate-stacked cell against the per-gate oracle, float64, with
+    a batch of 2, Cx=3 != Ch=4 and a non-square map."""
+
+    N, CX, CH, H, W = 2, 3, 4, 5, 6
+
+    def params(self, k, seed):
+        return make_params(np.random.default_rng(seed), self.CX, self.CH, k,
+                           scale=0.5)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_step_matches_per_gate_oracle(self, k):
+        p = self.params(k, 10)
+        rng = np.random.default_rng(11)
+        x, h0, c0 = leaves((self.N, self.CX, self.H, self.W),
+                           *[(self.N, self.CH, self.H, self.W)] * 2, rng=rng)
+        tensors = list(p.named_tensors().values()) + [x, h0, c0]
+        results = []
+        for step in (convlstm_step, reference_step):
+            h, nxt = step(x, ConvLstmState(h0, c0), p)
+            results.append(values_and_grads([h, nxt.c], tensors, 12))
+        (vals, grads), (ref_vals, ref_grads) = results
+        for a, b in zip(vals + grads, ref_vals + ref_grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sequence_matches_per_gate_oracle(self, k):
+        p = self.params(k, 20)
+        xs = leaves(*[(self.N, self.CX, self.H, self.W)] * 3,
+                    rng=np.random.default_rng(21))
+        tensors = list(p.named_tensors().values()) + xs
+        vals, grads = values_and_grads(convlstm_sequence(xs, p), tensors, 22)
+        ref_vals, ref_grads = values_and_grads(reference_sequence(xs, p),
+                                               tensors, 22)
+        assert len(grads) == 15 and all(g is not None for g in grads)
+        for a, b in zip(vals + grads, ref_vals + ref_grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_time_major_tensor_is_one_sequence(self):
+        p = self.params(3, 30)
+        seq = Tensor(np.random.default_rng(31).standard_normal(
+            (3, self.CX, self.H, self.W)))
+        steps = [Tensor(seq.data[t:t + 1]) for t in range(3)]
+        for a, b in zip(convlstm_sequence(seq, p), convlstm_sequence(steps, p)):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_mismatched_inputs_raise(self):
+        p = self.params(3, 40)
+        with pytest.raises(ShapeError, match="share"):
+            convlstm_sequence([Tensor(np.zeros((2, 3, 4, 4))),
+                               Tensor(np.zeros((1, 3, 4, 4)))], p)
+
+    @pytest.mark.parametrize("t_len", [1, 3, 5])
+    def test_conv_calls_per_sequence(self, monkeypatch, t_len):
+        # one input conv over all steps, one recurrent conv per step
+        # after the first (h_0 is zero)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return ops.conv2d(*args)
+        monkeypatch.setattr(convlstm, "conv2d", counted)
+        p = self.params(3, 50)
+        xs = [Tensor(np.ones((self.N, self.CX, 4, 4))) for _ in range(t_len)]
+        convlstm_sequence(xs, p)
+        assert len(calls) == t_len
+        assert calls[0] == (t_len * self.N, self.CX, 4, 4)

@@ -162,6 +162,16 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="declares"):
             load_checkpoint(path)
 
+    def test_unknown_tensor_rejected(self, tmp_path):
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        # a well-formed (2,) float32 record under a name no model has
+        name = b"lstm.W_xz"
+        path.write_bytes(path.read_bytes() + struct.pack("<I", len(name)) + name
+                         + struct.pack("<2I", 1, 2) + bytes(8))
+        with pytest.raises(FormatError, match="lstm.W_xz"):
+            load_checkpoint(path)
+
     def test_config_text_pinned(self, tmp_path):
         params = init_params(ModelConfig(
             modality_count=2, class_count=3, encoder_channels=(4, 6, 8, 10),

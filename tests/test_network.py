@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmseqseg import crossmodal, ops, tensor
+from mmseqseg import convlstm, crossmodal, ops, tensor
 from mmseqseg.gradsuite import check_end_to_end
 from mmseqseg.network import (ModelConfig, init_params, forward, forward_logits,
                               orthogonal_kernel, predict_volume)
@@ -149,8 +149,9 @@ class TestGraph:
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         nodes = _graph(forward_logits(params, seq.astype(np.float32)))
-        # 138 op outputs and 110 parameters, whatever the kernel layouts
-        assert len(nodes) == 248
+        # 103 op outputs and 110 parameters, whatever the kernel layouts;
+        # at T=2 the convLSTM makes 3 gate stacks, 2 convs and 4 cell nodes
+        assert len(nodes) == 213
         assert all(n.data.flags.c_contiguous for n in nodes)
 
     def test_accumulate_keeps_stored_gradient(self):
@@ -193,11 +194,12 @@ class TestGraphFree:
             return out
         monkeypatch.setattr(ops, "make_node", recording)
         monkeypatch.setattr(crossmodal, "make_node", recording)
+        monkeypatch.setattr(convlstm, "make_node", recording)
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         with no_grad():
             logits = forward_logits(params, seq.astype(np.float32), "eval")
-        assert len(made) == 138  # every op output of the graph-built pass
+        assert len(made) == 103  # every op output of the graph-built pass
         assert _graph(logits) == [logits]
         assert all(n._backward is None and n._parents == () and
                    not n.requires_grad for n in made)
@@ -231,7 +233,7 @@ class TestGraphFree:
                                       np.ones(5, dtype=np.float32))
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
-        assert len(interior) == 139  # 138 op outputs and the loss
+        assert len(interior) == 104  # 103 op outputs and the loss
         loss.backward()
         assert all(n._backward is None and n._parents == () for n in interior)
         assert all(p.grad is not None for p in params.named_tensors().values())

@@ -93,7 +93,8 @@ class TestConv2d:
         x = Tensor(np.full((1, 1, 2, 2), 1e308))
         k = Tensor(np.full((1, 1, 1, 1), 1e308))
         with pytest.raises(NumericalError):
-            ops.conv2d(x, k, None)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                ops.conv2d(x, k, None)
 
 
 class TestIm2col:
