@@ -189,7 +189,8 @@ def cmd_gradcheck(args):
     failed = 0
     for name, seed, report in results:
         status = "pass" if report.passed else "FAIL"
-        print(f"{name:<20} seed={seed} max_rel_err={report.worst():.3e} {status}")
+        print(f"{name:<20} seed={seed} max_rel_err={report.worst():.3e} "
+              f"kinks={report.kinks} {status}")
         failed += 0 if report.passed else 1
     print(f"{len(results) - failed}/{len(results)} checks passed "
           f"in {time.time() - t0:.1f}s")

@@ -2,12 +2,13 @@
 phantom generation, and intensity normalization.
 
 MMV1 layout: magic "MMV1"; u32 LE n_channels, D, H, W; one dtype byte
-(0 = f32 LE, 1 = u8 label); raw payload in channel, depth, row, column
-order. Header is 21 bytes.
+(0 = f32 LE, 1 = u8 label, which has one channel); raw payload in
+channel, depth, row, column order. Header is 21 bytes.
 
 MMCK layout: magic "MMCK"; u32 version (1); u32 config text length +
-utf-8 config; per tensor: u32 name length, name bytes, u32 ndim, u32
-dims, f32 LE payload.
+utf-8 config; per tensor: u32 name length, utf-8 name bytes, u32 ndim,
+u32 dims, f32 LE payload. Older files also hold a `<block>.bias` for
+every conv-BN block; loading folds it into the block's running mean.
 """
 
 import math
@@ -105,11 +106,10 @@ def read_volume(path):
             arr = np.frombuffer(raw, dtype="<f4").reshape(c, d, h, w).copy()
             kind = "modal"
         elif code == DTYPE_U8:
-            n = c * d * h * w
-            raw = _read_exact(f, n, "u8 payload")
-            arr = np.frombuffer(raw, dtype=np.uint8).reshape(c, d, h, w).copy()
-            if c == 1:
-                arr = arr[0]
+            if c != 1:
+                raise FormatError(f"label volume declares {c} channels, not 1")
+            raw = _read_exact(f, d * h * w, "u8 payload")
+            arr = np.frombuffer(raw, dtype=np.uint8).reshape(d, h, w).copy()
             kind = "label"
         else:
             raise UnknownDtypeError(f"unknown dtype code {code}")
@@ -151,7 +151,7 @@ def load_checkpoint(path):
             raise VersionError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
         config = _parse_model_config(
-            _read_exact(f, cfg_len, "config").decode("utf-8"))
+            _decode(_read_exact(f, cfg_len, "config"), "config"))
         tensors = {}
         while True:
             head = f.read(4)
@@ -160,7 +160,7 @@ def load_checkpoint(path):
             if len(head) != 4:
                 raise TruncatedPayloadError("truncated tensor name length")
             (nlen,) = struct.unpack("<I", head)
-            name = _read_exact(f, nlen, "tensor name").decode("utf-8")
+            name = _decode(_read_exact(f, nlen, "tensor name"), "tensor name")
             if name in tensors:
                 raise NameCollisionError(f"duplicate tensor name {name}")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
@@ -177,6 +177,17 @@ def load_checkpoint(path):
         return tensors[name]
 
     params = ModelParams(config)
+    for name, bn in params.batchnorms().items():
+        # a file written while conv-BN blocks had a conv bias b: fold b
+        # into the running mean, as in eval mode
+        # (conv + b - rm) * a + shift == (conv - (rm - b)) * a + shift
+        block = name.removesuffix(".bn")
+        bias = tensors.pop(f"{block}.bias", None)
+        if bias is not None:
+            if bias.shape != bn.running_mean.shape:
+                raise FormatError(f"shape mismatch for {block}.bias")
+            mean = f"{name}.running_mean"
+            tensors[mean] = stored(mean, bn.running_mean) - bias
     known = params.named_tensors().keys() | params.named_state().keys()
     unknown = [name for name in tensors if name not in known]
     if unknown:
@@ -188,6 +199,13 @@ def load_checkpoint(path):
         bn.running_mean = stored(f"{name}.running_mean", bn.running_mean)
         bn.running_var = stored(f"{name}.running_var", bn.running_var)
     return params, config
+
+
+def _decode(raw, what):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not valid UTF-8") from e
 
 
 def _parse_model_config(text):

@@ -56,13 +56,7 @@ def _check_activation(fn, seed, tol):
 
 
 def check_relu(seed, tol):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 3, 4, 4))
-    x += 0.3 * np.sign(x)  # keep entries away from the kink at 0
-    ts = {"x": Tensor(x, requires_grad=True)}
-    coeffs = rng.standard_normal((2, 3, 4, 4))
-    return grad_check(lambda: ops.project(ops.relu(ts["x"]), coeffs),
-                      ts, tolerance=tol)
+    return _check_activation(ops.relu, seed, tol)
 
 
 def check_sigmoid(seed, tol):
@@ -155,7 +149,8 @@ def check_convlstm_sequence(seed, tol, steps=3):
 
 def check_end_to_end(seed, tol, entries_per_tensor=2):
     """Loss gradient of the full network on a 16x16 input, probing a
-    random subset of entries in every parameter group."""
+    random subset of entries in every parameter group. The step is 1e-6:
+    a wider one straddles ReLU and max-pool kinks at many seeds."""
     rng = np.random.default_rng(seed)
     config = ModelConfig(encoder_channels=(2, 3, 4, 5), input_height=16,
                          input_width=16, sequence_length=2, seed=seed)
@@ -167,7 +162,7 @@ def check_end_to_end(seed, tol, entries_per_tensor=2):
     return grad_check(
         lambda: ops.softmax_ce_loss(
             forward_logits(params, x_seq, "train"), labels, wts)[0],
-        ts, tolerance=tol, max_entries=entries_per_tensor,
+        ts, tolerance=tol, step_scale=1e-6, max_entries=entries_per_tensor,
         rng=np.random.default_rng(seed + 1))
 
 

@@ -39,10 +39,19 @@ class ModelConfig:
     def __post_init__(self):
         self.encoder_channels = tuple(int(c) for c in self.encoder_channels)
         if len(self.encoder_channels) != N_SCALES:
-            raise ValueError(f"need {N_SCALES} encoder channel widths")
+            raise ValueError(f"encoder_channels needs {N_SCALES} widths")
+        for name in ("modality_count", "class_count", "sequence_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if min(self.encoder_channels) < 1:
+            raise ValueError("every encoder_channels width must be at least 1")
+        if self.convlstm_kernel < 1 or self.convlstm_kernel % 2 == 0:
+            raise ValueError("convlstm_kernel must be a positive odd number")
         div = 2 ** N_SCALES
-        if self.input_height % div or self.input_width % div:
-            raise ValueError(f"input extents must be divisible by {div}")
+        h, w = self.input_height, self.input_width
+        if min(h, w) < 1 or h % div or w % div:
+            raise ValueError("input_height and input_width must be positive "
+                             f"and divisible by {div}")
 
 
 def config_text(*configs):
@@ -76,12 +85,15 @@ def parse_config(cls, values):
 
 
 class ConvBnParams:
-    """One 3x3 convolution plus its batch norm."""
+    """One 3x3 convolution plus its batch norm. The convolution has no
+    bias: batch norm subtracts the channel mean, which cancels one, and
+    its `shift` is the per-channel offset."""
+
+    bias = None
 
     def __init__(self, cin, cout, dtype=np.float32):
         self.kernel = Tensor(np.zeros((cout, cin, 3, 3), dtype=dtype),
                              requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
         self.bn = BatchNormParams(cout, dtype=dtype)
 
 
@@ -125,7 +137,6 @@ class ModelParams:
 
         def convbn(prefix, p):
             out[f"{prefix}.kernel"] = p.kernel
-            out[f"{prefix}.bias"] = p.bias
             out[f"{prefix}.bn.scale"] = p.bn.scale
             out[f"{prefix}.bn.shift"] = p.bn.shift
 
@@ -223,8 +234,7 @@ def _encode(params, x_seq, mode):
     for mi in range(m):
         feat = Tensor(x_seq[:, mi:mi + 1])
         for s, stage in enumerate(params.encoders[mi]):
-            feat = relu(batchnorm(conv2d(feat, stage.kernel, stage.bias), stage.bn,
-                                  mode))
+            feat = relu(batchnorm(conv2d(feat, stage.kernel), stage.bn, mode))
             feat = maxpool2x2(feat)
             per_scale[s].append(feat)
     return [cmc_forward(stack_modalities(maps), params.cmc[s])
@@ -243,8 +253,7 @@ def forward_logits(params, x_seq, mode="train", intermediates=None):
     for stage, s in zip(params.decoder, range(N_SCALES - 1, -1, -1)):
         d = mrf_fuse(cmc_maps[s], d)
         d = conv_transpose2d(d, stage.up_kernel, stage.up_bias)
-        d = relu(batchnorm(conv2d(d, stage.conv.kernel, stage.conv.bias),
-                           stage.conv.bn, mode))
+        d = relu(batchnorm(conv2d(d, stage.conv.kernel), stage.conv.bn, mode))
     return conv2d(d, params.cls_kernel, params.cls_bias)
 
 

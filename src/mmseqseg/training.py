@@ -34,6 +34,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "sequence_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("phase1_steps", "phase2_steps", "clip_norm"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must not be negative")
         if self.phase2_steps > 0 and self.phase1_steps > 0 \
                 and not self.lr_phase2 < self.lr_phase1:
             raise ValueError("phase-2 learning rate must be below phase 1")

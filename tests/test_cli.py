@@ -130,12 +130,27 @@ class TestTrain:
         "encoder_channels = a,b,c,d",
         "input_height = 20",
         "seed = x",
+        "batch_size = 0",
+        "modality_count = 0",
+        "class_count = 0",
+        "encoder_channels = 0,16,32,64",
+        "sequence_length = 0",
+        "convlstm_kernel = 2",
+        "phase1_steps = -1",
+        "phase2_steps = -1",
+        "clip_norm = -1",
     ])
-    def test_bad_config_value(self, tiny_data, tmp_path, line):
+    def test_bad_config_value(self, tiny_data, tmp_path, line, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         assert run("train", "--config", str(cfg), "--data", str(tiny_data),
                    "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_step_flag_is_usage_error(self, tiny_data, tmp_path):
+        assert run("train", "--data", str(tiny_data), "--out",
+                   str(tmp_path / "out"), "--phase1-steps", "-1") == EXIT_USAGE
 
     def test_resolved_config_reproduces_itself(self, tiny_data, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -251,6 +266,15 @@ class TestPredict:
 
 
 class TestGradcheckCommand:
+    def test_lines_count_kinks(self, capsys):
+        assert run("gradcheck", "--seed", "21") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert len(lines) == 39 and all(" kinks=" in l for l in lines)
+        # two max-pool inputs lie within the step of a tie at seed 21
+        assert "maxpool2x2           seed=21 max_rel_err=6.123e-11 kinks=2 pass" \
+            in lines
+
+
     def test_unreachable_tolerance_fails(self, capsys):
         assert run("gradcheck", "--seed", "0", "--tol", "1e-12") \
             == EXIT_GRADCHECK

@@ -12,7 +12,7 @@ from mmseqseg.dataio import (BadMagicError, FormatError, NameCollisionError,
                              VersionError, gen_synthetic_case, load_checkpoint,
                              normalize_volume, read_volume, save_checkpoint,
                              write_volume)
-from mmseqseg.network import ModelConfig, forward, init_params
+from mmseqseg.network import ModelConfig, forward, init_params, predict_volume
 from mmseqseg.training import SequenceDataset
 
 
@@ -76,6 +76,14 @@ class TestVolumeFormat:
         path.write_bytes(b"MMV1" + struct.pack("<4I", *[0xFFFFFFFF] * 4)
                          + struct.pack("<B", code))
         with pytest.raises(FormatError, match="declares"):
+            read_volume(path)
+
+    def test_multichannel_label_rejected(self, tmp_path):
+        # a well-sized u8 payload whose header declares 2 channels
+        path = tmp_path / "l.mmv"
+        path.write_bytes(b"MMV1" + struct.pack("<4IB", 2, 2, 4, 4, 1)
+                         + bytes(2 * 2 * 4 * 4))
+        with pytest.raises(FormatError, match="2 channels"):
             read_volume(path)
 
     def test_unknown_dtype(self, tmp_path):
@@ -170,6 +178,73 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes() + struct.pack("<I", len(name)) + name
                          + struct.pack("<2I", 1, 2) + bytes(8))
         with pytest.raises(FormatError, match="lstm.W_xz"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def record(name, arr):
+        """One MMCK tensor record."""
+        arr = np.asarray(arr, dtype="<f4")
+        return (struct.pack("<I", len(name)) + name
+                + struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape)
+                + arr.tobytes())
+
+    def test_old_layout_bias_folds_into_running_mean(self, tmp_path):
+        params = self.make(seed=4)
+        rng = np.random.default_rng(4)
+        for bn in params.batchnorms().values():
+            bn.running_mean = rng.standard_normal(
+                bn.running_mean.shape).astype(np.float32)
+        # a file as written while conv-BN blocks had a conv bias: one
+        # nonzero `<block>.bias` record per block
+        path = tmp_path / "old.mmck"
+        save_checkpoint(path, params)
+        biases = {name.removesuffix("bn") + "bias":
+                  rng.standard_normal(bn.running_mean.shape).astype(np.float32)
+                  for name, bn in params.batchnorms().items()}
+        assert len(biases) == 20
+        path.write_bytes(path.read_bytes() + b"".join(
+            self.record(name.encode(), b) for name, b in biases.items()))
+        loaded, _ = load_checkpoint(path)
+        for name, bn in loaded.batchnorms().items():
+            block = name.removesuffix("bn")
+            np.testing.assert_array_equal(
+                bn.running_mean,
+                params.batchnorms()[name].running_mean - biases[block + "bias"])
+        vol = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
+        assert predict_volume(loaded, vol, 2).shape == (3, 16, 16)
+
+    def test_old_layout_bias_of_wrong_shape_rejected(self, tmp_path):
+        path = tmp_path / "old.mmck"
+        save_checkpoint(path, self.make())
+        path.write_bytes(path.read_bytes()
+                         + self.record(b"enc0.s0.bias", np.zeros(3)))
+        with pytest.raises(FormatError, match="enc0.s0.bias"):
+            load_checkpoint(path)
+
+    def test_bias_of_block_the_model_lacks_rejected(self, tmp_path):
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        path.write_bytes(path.read_bytes()
+                         + self.record(b"enc4.s0.bias", np.zeros(2)))
+        with pytest.raises(FormatError, match="enc4.s0.bias"):
+            load_checkpoint(path)
+
+    def test_invalid_utf8_tensor_name_is_format_error(self, tmp_path):
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        path.write_bytes(path.read_bytes() + self.record(b"\xff\xfe", [0.0]))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_checkpoint(path)
+
+    def test_invalid_utf8_config_is_format_error(self, tmp_path):
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        data = path.read_bytes()
+        _, rest = checkpoint_config(data)
+        raw = b"seed=\xff\n"
+        path.write_bytes(data[:8] + struct.pack("<I", len(raw)) + raw
+                         + data[rest:])
+        with pytest.raises(FormatError, match="UTF-8"):
             load_checkpoint(path)
 
     def test_config_text_pinned(self, tmp_path):

@@ -55,6 +55,20 @@ class TestInit:
         assert k.size >= 10000
         assert abs(k.var() - 2.0 / fan_in) < 0.2 * (2.0 / fan_in)
 
+    def test_conv_bn_blocks_carry_no_bias(self):
+        # 16 encoder and 4 decoder conv-BN blocks of 3 tensors, 4 CMC of 2,
+        # 12 convLSTM, 4 up-convs of 2 and the classifier's 2
+        p = init_params(ModelConfig(seed=0))
+        names = p.named_tensors()
+        assert len(names) == 90
+        assert len(names) + len(p.named_state()) == 130  # checkpoint records
+        blocks = [s for stages in p.encoders for s in stages] \
+            + [d.conv for d in p.decoder]
+        assert all(b.bias is None for b in blocks)
+        assert len(p.batchnorms()) == 20
+        assert not any(bn.removesuffix("bn") + "bias" in names
+                       for bn in p.batchnorms())
+
     def test_orthogonal_kernel_rejects_fat_rows(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
@@ -149,9 +163,9 @@ class TestGraph:
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         nodes = _graph(forward_logits(params, seq.astype(np.float32)))
-        # 103 op outputs and 110 parameters, whatever the kernel layouts;
+        # 103 op outputs and 90 parameters, whatever the kernel layouts;
         # at T=2 the convLSTM makes 3 gate stacks, 2 convs and 4 cell nodes
-        assert len(nodes) == 213
+        assert len(nodes) == 193
         assert all(n.data.flags.c_contiguous for n in nodes)
 
     def test_accumulate_keeps_stored_gradient(self):

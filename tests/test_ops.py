@@ -280,6 +280,23 @@ class TestBatchNorm:
         out = ops.batchnorm(Tensor(np.full((1, 1, 2, 2), 7.0)), bn, "train")
         assert np.all(np.isfinite(out.data))
 
+    def test_eval_folds_conv_bias_into_running_mean(self):
+        # a conv bias b before an eval-mode batch norm equals running
+        # mean rm - b without it: the identity old checkpoints load by
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)))
+        k = Tensor(rng.standard_normal((4, 3, 3, 3)))
+        b = Tensor(rng.standard_normal(4))
+        bn = BatchNormParams(4, dtype=np.float64)
+        bn.scale.data = rng.standard_normal(4)
+        bn.shift.data = rng.standard_normal(4)
+        bn.running_mean = rng.standard_normal(4)
+        bn.running_var = rng.uniform(0.5, 2.0, 4)
+        with_bias = ops.batchnorm(ops.conv2d(x, k, b), bn, "eval").data
+        bn.running_mean = bn.running_mean - b.data
+        folded = ops.batchnorm(ops.conv2d(x, k), bn, "eval").data
+        np.testing.assert_allclose(folded, with_bias, rtol=0, atol=1e-6)
+
     def test_single_element_train_raises(self):
         bn = BatchNormParams(1)
         with pytest.raises(ShapeError):
@@ -426,4 +443,38 @@ class TestGradCheckHarness:
             return out
 
         report = grad_check(corrupted, ts, tolerance=1e-4)
+        assert not report.passed
+
+    def test_kink_judged_by_one_sided_slope(self):
+        # relu at exactly 0: the central difference is half the right
+        # slope, the analytic gradient is the left slope (0)
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((1, 2, 3, 3))
+        x[0, 1, 2, 0] = 0.0
+        ts = {"x": Tensor(x, requires_grad=True)}
+        coeffs = rng.standard_normal((1, 2, 3, 3))
+        report = grad_check(lambda: ops.project(ops.relu(ts["x"]), coeffs),
+                            ts, tolerance=1e-4)
+        assert report.kinks == 1
+        assert report.passed, report.max_rel_error
+
+    def test_gradient_matching_no_slope_at_kink_fails(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((1, 1, 2, 3))
+        x[0, 0, 1, 1] = 0.0
+        ts = {"x": Tensor(x, requires_grad=True)}
+        coeffs = rng.standard_normal((1, 1, 2, 3))
+
+        def corrupted():
+            out = ops.relu(ts["x"])
+            orig = out._backward
+
+            def bad(g):
+                orig(g)
+                ts["x"].grad[0, 0, 1, 1] = 2.0 * g[0, 0, 1, 1]
+            out._backward = bad
+            return ops.project(out, coeffs)
+
+        report = grad_check(corrupted, ts, tolerance=1e-4)
+        assert report.kinks == 1
         assert not report.passed
