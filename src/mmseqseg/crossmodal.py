@@ -1,9 +1,11 @@
 """Modality stacking, cross-modality convolution, and multiplicative
 multi-resolution fusion.
 
-The CMC layer holds one length-M filter per channel stack (a 4x1x1
-kernel over the modality axis): it weights each modality's feature map
-and sums, preserving the channel count.
+The encoder's grouped map (N, M*C, h, w) holds modality m's channels in
+channel group m; the modality stack (N, M, C, h, w) is a view of it. The
+CMC layer holds one length-M filter per channel stack (a 4x1x1 kernel
+over the modality axis): it weights each modality's feature map and
+sums, preserving the channel count.
 """
 
 import numpy as np
@@ -23,47 +25,42 @@ class CmcParams:
         self.bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
 
-def stack_modalities(per_modality):
-    """Stack M same-shape (N,C,h,w) feature maps along a new modality
-    axis right after the channel axis: (N,C,M,h,w). Pure re-indexing.
+def stack_modalities(grouped, modalities):
+    """The modality stack (N,M,C,h,w) of a grouped map (N,M*C,h,w) whose
+    channels m*C ... (m+1)*C - 1 are modality m's. Pure re-indexing: the
+    stack is a view of the grouped map.
     """
-    if not per_modality:
-        raise ShapeError("stack_modalities needs at least one modality")
-    shape0 = per_modality[0].shape
-    for t in per_modality:
-        if t.shape != shape0:
-            raise ShapeError(
-                f"modality shape mismatch: {t.shape} vs {shape0}"
-            )
-    if len(shape0) != 4:
-        raise ShapeError("stack_modalities expects (N,C,h,w) maps")
-    data = np.stack([t.data for t in per_modality], axis=2)
+    if grouped.ndim != 4:
+        raise ShapeError("stack_modalities expects a grouped (N,M*C,h,w) map")
+    n, mc, h, w = grouped.shape
+    if modalities < 1 or mc % modalities:
+        raise ShapeError(f"stack_modalities: {mc} channels do not split "
+                         f"into {modalities} modalities")
 
     def backward(g):
-        pieces = np.moveaxis(g, 2, 0)
-        for m, t in enumerate(per_modality):
-            if t.requires_grad:
-                t._accumulate(pieces[m])
+        if grouped.requires_grad:
+            grouped._accumulate(g.reshape(grouped.shape))
 
-    return make_node(data, tuple(per_modality), backward, "stack_modalities output")
+    data = grouped.data.reshape(n, modalities, mc // modalities, h, w)
+    return make_node(data, (grouped,), backward, "stack_modalities output")
 
 
 def cmc_forward(stack, params):
-    """out[n,c,y,x] = sum_m weights[c,m] * stack[n,c,m,y,x] + bias[c]."""
+    """out[n,c,y,x] = sum_m weights[c,m] * stack[n,m,c,y,x] + bias[c]."""
     c, m = params.weights.shape
-    if stack.ndim != 5 or stack.shape[1:3] != (c, m):
+    if stack.ndim != 5 or stack.shape[1:3] != (m, c):
         raise ShapeError(
             f"cmc_forward: stack {stack.shape} does not match weights {(c, m)}"
         )
     w, b = params.weights, params.bias
-    out = np.einsum("ncmyx,cm->ncyx", stack.data, w.data)
+    out = np.einsum("nmcyx,cm->ncyx", stack.data, w.data)
     out += b.data[None, :, None, None]
 
     def backward(g):
         if stack.requires_grad:
-            stack._accumulate(np.einsum("ncyx,cm->ncmyx", g, w.data))
+            stack._accumulate(np.einsum("ncyx,cm->nmcyx", g, w.data))
         if w.requires_grad:
-            w._accumulate(np.einsum("ncyx,ncmyx->cm", g, stack.data))
+            w._accumulate(np.einsum("ncyx,nmcyx->cm", g, stack.data))
         if b.requires_grad:
             b._accumulate(g.sum(axis=(0, 2, 3)))
 

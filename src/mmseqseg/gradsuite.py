@@ -90,7 +90,7 @@ def check_cmc(seed, tol):
     cmc = CmcParams(3, 4, dtype=np.float64)
     cmc.weights.data = rng.standard_normal((3, 4))
     cmc.bias.data = 0.1 * rng.standard_normal(3)
-    ts = {"stack": _t(rng, 2, 3, 4, 5, 5), "w": cmc.weights, "b": cmc.bias}
+    ts = {"stack": _t(rng, 2, 4, 3, 5, 5), "w": cmc.weights, "b": cmc.bias}
     coeffs = rng.standard_normal((2, 3, 5, 5))
     return grad_check(
         lambda: ops.project(cmc_forward(ts["stack"], cmc), coeffs),

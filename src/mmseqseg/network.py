@@ -7,6 +7,11 @@ extents at each of its 4 stages; CMC aggregates the 4 modalities after
 every pooling; the deepest CMC map drives the convLSTM; the decoder
 multiplies each scale's CMC map into its path and doubles the extents
 back up to H x W.
+
+The M encoders keep their own parameters (`params.encoders[m][s]`) but
+run as one chain over a grouped map (T, M*C, h, w) whose channel group m
+is modality m's: each stage is one grouped conv2d, one batchnorm, one
+relu and one maxpool2x2 over all M modalities.
 """
 
 from dataclasses import dataclass, fields
@@ -16,7 +21,8 @@ import numpy as np
 from . import ops
 from .convlstm import ConvLstmParams, convlstm_sequence
 from .crossmodal import CmcParams, cmc_forward, mrf_fuse, stack_modalities
-from .ops import BatchNormParams, batchnorm, conv2d, conv_transpose2d, maxpool2x2, relu
+from .ops import (BatchNormParams, StackedBatchNorm, batchnorm, conv2d,
+                  conv_transpose2d, maxpool2x2, relu)
 from .tensor import ShapeError, Tensor, no_grad
 
 N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
@@ -217,10 +223,12 @@ def init_params(config, dtype=np.float32):
 
 
 def _encode(params, x_seq, mode):
-    """Per-modality encoders + CMC at every scale.
+    """The M encoders as one chain over a grouped map, then CMC at every
+    scale; each scale stacks the M encoders' kernels and batch-norm
+    affines once.
 
-    x_seq: (T, M, H, W) array. Returns list of N_SCALES CMC map tensors,
-    each (T, C_s, H/2^(s+1), W/2^(s+1)).
+    x_seq: (T, M, H, W) array, the grouped map of the input. Returns list
+    of N_SCALES CMC map tensors, each (T, C_s, H/2^(s+1), W/2^(s+1)).
     """
     t, m, h, w = x_seq.shape
     cfg = params.config
@@ -230,15 +238,15 @@ def _encode(params, x_seq, mode):
     if h % div or w % div:
         raise ShapeError(f"input extents must be divisible by {div}, got {h}x{w}")
 
-    per_scale = [[] for _ in range(N_SCALES)]  # [scale][modality]
-    for mi in range(m):
-        feat = Tensor(x_seq[:, mi:mi + 1])
-        for s, stage in enumerate(params.encoders[mi]):
-            feat = relu(batchnorm(conv2d(feat, stage.kernel), stage.bn, mode))
-            feat = maxpool2x2(feat)
-            per_scale[s].append(feat)
-    return [cmc_forward(stack_modalities(maps), params.cmc[s])
-            for s, maps in enumerate(per_scale)]
+    feat = Tensor(x_seq)
+    cmc_maps = []
+    for s, stages in enumerate(zip(*params.encoders)):  # [modality] at scale s
+        kernel = ops.concat0([p.kernel for p in stages])
+        bn = StackedBatchNorm([p.bn for p in stages])
+        feat = relu(batchnorm(conv2d(feat, kernel, groups=m), bn, mode))
+        feat = maxpool2x2(feat)
+        cmc_maps.append(cmc_forward(stack_modalities(feat, m), params.cmc[s]))
+    return cmc_maps
 
 
 def forward_logits(params, x_seq, mode="train", intermediates=None):

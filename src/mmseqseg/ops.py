@@ -8,7 +8,9 @@ fall in the zero padding stay zero, so no padded copy is made; the
 slices of each tap are planned once per shape and cached). The
 product of the (Cout, C*kh*kw) kernel matrix with it is already the
 (Cout, H*W) NCHW output, so neither the patches nor the result is
-transposed. Everything else is plain numpy on strided views.
+transposed; a grouped convolution splits both into G blocks and takes
+their G products in one batched matmul. Everything else is plain numpy
+on strided views.
 """
 
 import functools
@@ -61,46 +63,61 @@ def _col2im(col, x_shape, kh, kw):
     return img
 
 
-def conv2d(x, kernel, bias=None):
-    """Same-padded cross-correlation, stride 1. kernel (Cout, Cin, kh, kw)
-    with odd kh, kw."""
+def conv2d(x, kernel, bias=None, groups=1):
+    """Same-padded cross-correlation, stride 1. kernel (Cout, Cin/groups,
+    kh, kw) with odd kh, kw.
+
+    With G groups, input channels g*Cin/G ... (g+1)*Cin/G - 1 feed only
+    output channels g*Cout/G ... (g+1)*Cout/G - 1 (the grouped
+    convolution of AlexNet and ResNeXt): the patches of each image split
+    into G row blocks, and one batched matmul takes the product of each
+    group's kernel matrix with its block. G = 1 is the plain convolution.
+    """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW kernel")
     n, cin, h, w = x.shape
-    cout, cin_k, kh, kw = kernel.shape
-    if cin != cin_k:
-        raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel {cin_k}")
+    cout, cin_g, kh, kw = kernel.shape
+    if cin != groups * cin_g:
+        raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel "
+                         f"{cin_g} per group x {groups} groups")
+    if cout % groups:
+        raise ShapeError(f"conv2d: {cout} output channels do not split "
+                         f"into {groups} groups")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("same-padding needs odd kernel extents")
 
-    col = _im2col(x.data, kh, kw)
-    w_col = kernel.data.reshape(cout, -1)
-    out = w_col @ col  # (N, Cout, H*W)
+    col = _im2col(x.data, kh, kw).reshape(n, groups, -1, h * w)
+    w_col = kernel.data.reshape(groups, cout // groups, -1)
+    out = (w_col @ col).reshape(n, cout, h * w)  # (N, G, Cout/G, H*W)
     if bias is not None:
         out += bias.data[:, None]
 
     def backward(g):
         g = g.reshape(n, cout, h * w)
-        if kernel.requires_grad:
-            dk = (g @ col.transpose(0, 2, 1)).sum(axis=0)
-            kernel._accumulate(dk.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
+        g = g.reshape(n, groups, cout // groups, h * w)
+        if kernel.requires_grad:
+            dk = (g @ col.transpose(0, 1, 3, 2)).sum(axis=0)
+            kernel._accumulate(dk.reshape(kernel.shape))
         if x.requires_grad:
-            x._accumulate(_col2im(w_col.T @ g, x.shape, kh, kw))
+            x._accumulate(_col2im(w_col.transpose(0, 2, 1) @ g, x.shape,
+                                  kh, kw))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return make_node(out.reshape(n, cout, h, w), parents, backward,
                      "conv2d output")
 
 
-def conv_transpose2d(x, kernel, bias=None, stride=2):
+def conv_transpose2d(x, kernel, bias=None):
     """Stride-2 transposed convolution with a 2x2 kernel (Cin, Cout, 2, 2).
 
-    Windows are disjoint, so output extents are exactly doubled.
+    Windows are disjoint, so output extents are exactly doubled. The
+    kernel, as a (Cout*2*2, Cin) matrix, times each image's (Cin, H*W)
+    pixels gives every output pixel in one gemm; one re-layout moves the
+    (Cout, dy, dx, H, W) result to (Cout, 2H+dy, 2W+dx). The backward
+    re-lays the gradient out the other way and uses the same matrix.
     """
-    if stride != 2:
-        raise ShapeError("conv_transpose2d supports stride 2 only")
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError("conv_transpose2d expects NCHW input and IOHW kernel")
     n, cin, h, w = x.shape
@@ -112,34 +129,22 @@ def conv_transpose2d(x, kernel, bias=None, stride=2):
     if (kh, kw) != (2, 2):
         raise ShapeError("conv_transpose2d supports 2x2 kernels only")
 
-    out = np.empty((n, cout, 2 * h, 2 * w), dtype=x.dtype)
-    for dy in range(2):
-        for dx in range(2):
-            # (N,Cin,H,W) x (Cin,Cout) -> (N,H,W,Cout)
-            piece = np.tensordot(x.data, kernel.data[:, :, dy, dx], axes=([1], [0]))
-            out[:, :, dy::2, dx::2] = piece.transpose(0, 3, 1, 2)
+    w_mat = kernel.data.reshape(cin, 4 * cout).T  # rows (Cout, dy, dx)
+    pixels = x.data.reshape(n, cin, h * w)
+    taps = (w_mat @ pixels).reshape(n, cout, 2, 2, h, w)
+    out = np.ascontiguousarray(taps.transpose(0, 1, 4, 2, 5, 3)).reshape(
+        n, cout, 2 * h, 2 * w)
     if bias is not None:
         out += bias.data[None, :, None, None]
 
     def backward(g):
+        g_taps = np.ascontiguousarray(g.reshape(n, cout, h, 2, w, 2).transpose(
+            0, 1, 3, 5, 2, 4)).reshape(n, 4 * cout, h * w)
         if x.requires_grad:
-            dx_acc = np.zeros(x.shape, dtype=x.dtype)
-            for dy in range(2):
-                for dx in range(2):
-                    sub = g[:, :, dy::2, dx::2]
-                    dx_acc += np.tensordot(
-                        sub, kernel.data[:, :, dy, dx], axes=([1], [1])
-                    ).transpose(0, 3, 1, 2)
-            x._accumulate(dx_acc)
+            x._accumulate((w_mat.T @ g_taps).reshape(x.shape))
         if kernel.requires_grad:
-            dk = np.empty(kernel.shape, dtype=kernel.dtype)
-            for dy in range(2):
-                for dx in range(2):
-                    sub = g[:, :, dy::2, dx::2]
-                    dk[:, :, dy, dx] = np.tensordot(
-                        x.data, sub, axes=([0, 2, 3], [0, 2, 3])
-                    )
-            kernel._accumulate(dk)
+            dk = (pixels @ g_taps.transpose(0, 2, 1)).sum(axis=0)
+            kernel._accumulate(dk.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
@@ -187,9 +192,45 @@ class BatchNormParams:
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
+    def update(self, mean, var):
+        """Fold one batch's channel mean and variance into the running
+        statistics, in place."""
+        for run, batch in ((self.running_mean, mean), (self.running_var, var)):
+            run *= self.momentum
+            run += (1.0 - self.momentum) * batch.astype(run.dtype)
+
+
+class StackedBatchNorm:
+    """The batch norms of G channel groups as one over their G*C
+    channels, for a grouped map whose group g holds channels g*C ...
+    (g+1)*C - 1. Scale and shift are stacked with concat0 when it is
+    built, so build it once per forward; train-mode statistics go back to
+    each group's own BatchNormParams."""
+
+    epsilon = BatchNormParams.epsilon
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.scale = concat0([p.scale for p in groups])
+        self.shift = concat0([p.shift for p in groups])
+
+    @property
+    def running_mean(self):
+        return np.concatenate([p.running_mean for p in self.groups])
+
+    @property
+    def running_var(self):
+        return np.concatenate([p.running_var for p in self.groups])
+
+    def update(self, mean, var):
+        c = mean.size // len(self.groups)
+        for g, p in enumerate(self.groups):
+            p.update(mean[g * c:(g + 1) * c], var[g * c:(g + 1) * c])
+
 
 def batchnorm(x, params, mode="train"):
-    """Per-channel batch normalization over the N, H, W axes."""
+    """Per-channel batch normalization over the N, H, W axes. params is a
+    BatchNormParams or a StackedBatchNorm."""
     if x.ndim != 4:
         raise ShapeError("batchnorm expects NCHW input")
     n, c, h, w = x.shape
@@ -200,16 +241,13 @@ def batchnorm(x, params, mode="train"):
         m = n * h * w
         if m < 2:
             raise ShapeError("train-mode batchnorm needs N*H*W >= 2")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        params.running_mean = (
-            params.momentum * params.running_mean
-            + (1.0 - params.momentum) * mean.astype(params.running_mean.dtype)
-        )
-        params.running_var = (
-            params.momentum * params.running_var
-            + (1.0 - params.momentum) * var.astype(params.running_var.dtype)
-        )
+        # the sums np.mean and np.var make, with one pass for the mean
+        mean = x.data.sum(axis=(0, 2, 3)) / m
+        d = x.data - mean[:, None, None]
+        d *= d
+        var = d.sum(axis=(0, 2, 3)) / m
+        del d  # freed before the output is allocated
+        params.update(mean, var)
     elif mode == "eval":
         mean = params.running_mean.astype(x.dtype)
         var = params.running_var.astype(x.dtype)
@@ -328,13 +366,14 @@ def concat0(tensors):
     """Concatenate along axis 0."""
     if not tensors:
         raise ShapeError("concat0 of empty list")
-    sizes = [t.shape[0] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        lo = 0
+        for t in tensors:
+            hi = lo + t.shape[0]
             if t.requires_grad:
                 t._accumulate(g[lo:hi])
+            lo = hi
 
     data = np.concatenate([t.data for t in tensors], axis=0)
     return make_node(data, tuple(tensors), backward, "concat0 output")

@@ -13,58 +13,74 @@ def rand_maps(rng, m=4, shape=(1, 3, 5, 5)):
     return [Tensor(rng.standard_normal(shape)) for _ in range(m)]
 
 
+def stack(maps):
+    """The modality stack of per-modality maps, through the grouped map
+    the encoder makes: modality m's channels are channel group m."""
+    grouped = Tensor(np.concatenate([t.data for t in maps], axis=1))
+    return stack_modalities(grouped, len(maps))
+
+
 class TestStackModalities:
     def test_identical_maps(self):
         x = np.arange(12.0).reshape(1, 3, 2, 2)
-        stack = stack_modalities([Tensor(x.copy()) for _ in range(4)])
-        assert stack.shape == (1, 3, 4, 2, 2)
+        out = stack([Tensor(x.copy()) for _ in range(4)])
+        assert out.shape == (1, 4, 3, 2, 2)
         for m in range(4):
-            np.testing.assert_array_equal(stack.data[:, :, m], x)
+            np.testing.assert_array_equal(out.data[:, m], x)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         maps = rand_maps(rng)
-        stack = stack_modalities(maps)
+        out = stack(maps)
         for m, orig in enumerate(maps):
-            np.testing.assert_array_equal(stack.data[:, :, m], orig.data)
+            np.testing.assert_array_equal(out.data[:, m], orig.data)
 
     def test_constant_placement(self):
         maps = [Tensor(np.full((1, 2, 3, 3), float(m + 1))) for m in range(4)]
-        stack = stack_modalities(maps)
+        out = stack(maps)
         for m in range(4):
-            np.testing.assert_array_equal(stack.data[:, :, m],
+            np.testing.assert_array_equal(out.data[:, m],
                                           np.full((1, 2, 3, 3), m + 1.0))
 
     def test_batched_layout(self):
         rng = np.random.default_rng(1)
         maps = [Tensor(rng.standard_normal((2, 3, 4, 4))) for _ in range(4)]
-        stack = stack_modalities(maps)
-        assert stack.shape == (2, 3, 4, 4, 4)
-        np.testing.assert_array_equal(stack.data[:, :, 2], maps[2].data)
+        out = stack(maps)
+        assert out.shape == (2, 4, 3, 4, 4)
+        np.testing.assert_array_equal(out.data[:, 2], maps[2].data)
 
     def test_shape_mismatch_raises(self):
+        # 10 channels do not split into 4 modalities
         with pytest.raises(ShapeError):
-            stack_modalities([Tensor(np.zeros((1, 2, 3, 3))),
-                              Tensor(np.zeros((1, 2, 3, 4)))])
+            stack_modalities(Tensor(np.zeros((1, 10, 3, 3))), 4)
+
+    def test_view_of_grouped_map_and_gradient_reshaped_back(self):
+        rng = np.random.default_rng(10)
+        grouped = Tensor(rng.standard_normal((2, 12, 3, 3)), requires_grad=True)
+        out = stack_modalities(grouped, 4)
+        assert np.shares_memory(out.data, grouped.data)
+        coeffs = rng.standard_normal(out.shape)
+        ops.project(out, coeffs).backward()
+        np.testing.assert_array_equal(grouped.grad, coeffs.reshape(2, 12, 3, 3))
 
 
 class TestCmcForward:
     def test_one_hot_selector_bit_exact(self):
         rng = np.random.default_rng(2)
         maps = rand_maps(rng)
-        stack = stack_modalities(maps)
+        stacked = stack(maps)
         for m in range(4):
             p = CmcParams(3, 4, dtype=np.float64)
             p.weights.data = np.zeros((3, 4))
             p.weights.data[:, m] = 1.0
-            out = cmc_forward(stack, p)
+            out = cmc_forward(stacked, p)
             np.testing.assert_array_equal(out.data, maps[m].data)
 
     def test_uniform_weights_average(self):
         rng = np.random.default_rng(3)
         maps = rand_maps(rng)
         p = CmcParams(3, 4, dtype=np.float64)  # ctor default is 1/M
-        out = cmc_forward(stack_modalities(maps), p)
+        out = cmc_forward(stack(maps), p)
         expect = np.mean([t.data for t in maps], axis=0)
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
@@ -74,7 +90,7 @@ class TestCmcForward:
         p = CmcParams(2, 4, dtype=np.float64)
         p.weights.data = rng.standard_normal((2, 4))
         p.bias.data = rng.standard_normal(2)
-        out = cmc_forward(stack_modalities(maps), p).data
+        out = cmc_forward(stack(maps), p).data
         for c in range(2):
             for y in range(3):
                 for x in range(3):
@@ -87,8 +103,8 @@ class TestCmcForward:
         rng = np.random.default_rng(5)
         p = CmcParams(3, 4, dtype=np.float64)
         p.weights.data = rng.standard_normal((3, 4))
-        x = rng.standard_normal((1, 3, 4, 5, 5))
-        y = rng.standard_normal((1, 3, 4, 5, 5))
+        x = rng.standard_normal((1, 4, 3, 5, 5))
+        y = rng.standard_normal((1, 4, 3, 5, 5))
         a, b = 1.7, -0.4
         lhs = cmc_forward(Tensor(a * x + b * y), p).data
         rhs = a * cmc_forward(Tensor(x), p).data + b * cmc_forward(Tensor(y), p).data
@@ -98,7 +114,7 @@ class TestCmcForward:
         rng = np.random.default_rng(6)
         p = CmcParams(2, 4, dtype=np.float64)
         p.weights.data = rng.standard_normal((2, 4))
-        ts = {"stack": Tensor(rng.standard_normal((1, 2, 4, 3, 3)),
+        ts = {"stack": Tensor(rng.standard_normal((1, 4, 2, 3, 3)),
                               requires_grad=True),
               "w": p.weights, "b": p.bias}
         coeffs = rng.standard_normal((1, 2, 3, 3))
@@ -109,7 +125,7 @@ class TestCmcForward:
     def test_mismatched_weights_raise(self):
         p = CmcParams(3, 4)
         with pytest.raises(ShapeError):
-            cmc_forward(Tensor(np.zeros((1, 2, 4, 3, 3))), p)
+            cmc_forward(Tensor(np.zeros((1, 4, 2, 3, 3))), p)
 
 
 class TestMrfFuse:

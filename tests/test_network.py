@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmseqseg import convlstm, crossmodal, ops, tensor
+from mmseqseg import convlstm, crossmodal, network, ops, tensor
 from mmseqseg.gradsuite import check_end_to_end
 from mmseqseg.network import (ModelConfig, init_params, forward, forward_logits,
                               orthogonal_kernel, predict_volume)
@@ -137,6 +137,23 @@ class TestForward:
         for pa, pb in zip(base, out):
             np.testing.assert_allclose(pa, pb, rtol=1e-5, atol=1e-6)
 
+    def test_encoder_one_call_per_layer_and_scale(self, monkeypatch):
+        # the four modality chains run as one grouped chain: one conv2d,
+        # batchnorm, relu and maxpool2x2 per scale, not one per modality
+        calls = {}
+        for name in ("conv2d", "batchnorm", "relu", "maxpool2x2"):
+            def counted(*args, _fn=getattr(network, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(network, name, counted)
+        params = init_params(ModelConfig(seed=0, **TINY))
+        seq = np.random.default_rng(8).standard_normal((2, 4, 16, 16))
+        maps = network._encode(params, seq, "train")
+        assert len(maps) == 4
+        assert calls == {"conv2d": 4, "batchnorm": 4, "relu": 4,
+                         "maxpool2x2": 4}
+
     def test_intermediates_exposed(self):
         params = init_params(ModelConfig(seed=6, **TINY))
         rng = np.random.default_rng(7)
@@ -163,9 +180,13 @@ class TestGraph:
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         nodes = _graph(forward_logits(params, seq.astype(np.float32)))
-        # 103 op outputs and 90 parameters, whatever the kernel layouts;
-        # at T=2 the convLSTM makes 3 gate stacks, 2 convs and 4 cell nodes
-        assert len(nodes) == 193
+        # 67 op outputs and 90 parameters, whatever the kernel layouts: per
+        # scale the grouped encoder makes 3 stacks (kernel, scale, shift),
+        # conv, batchnorm, relu, maxpool, the modality stack and CMC (36);
+        # at T=2 the convLSTM makes 3 gate stacks, 2 convs and 4 cell nodes,
+        # joined by one concat0 (10); the decoder makes 5 per stage (20)
+        # and the classifier 1
+        assert len(nodes) == 157
         assert all(n.data.flags.c_contiguous for n in nodes)
 
     def test_accumulate_keeps_stored_gradient(self):
@@ -213,7 +234,7 @@ class TestGraphFree:
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         with no_grad():
             logits = forward_logits(params, seq.astype(np.float32), "eval")
-        assert len(made) == 103  # every op output of the graph-built pass
+        assert len(made) == 67  # every op output of the graph-built pass
         assert _graph(logits) == [logits]
         assert all(n._backward is None and n._parents == () and
                    not n.requires_grad for n in made)
@@ -247,7 +268,7 @@ class TestGraphFree:
                                       np.ones(5, dtype=np.float32))
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
-        assert len(interior) == 104  # 103 op outputs and the loss
+        assert len(interior) == 68  # 67 op outputs and the loss
         loss.backward()
         assert all(n._backward is None and n._parents == () for n in interior)
         assert all(p.grad is not None for p in params.named_tensors().values())

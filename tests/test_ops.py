@@ -6,7 +6,7 @@ import pytest
 from mmseqseg import ops
 from mmseqseg.gradcheck import grad_check
 from mmseqseg.ops import BatchNormParams
-from mmseqseg.tensor import NumericalError, ShapeError, Tensor
+from mmseqseg.tensor import NumericalError, ShapeError, Tensor, make_node
 
 
 def naive_conv2d(x, k, b, pad):
@@ -72,6 +72,11 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channel mismatch"):
             ops.conv2d(Tensor(np.zeros((1, 2, 4, 4))),
                        Tensor(np.zeros((1, 3, 3, 3))), None)
+        # a kernel with half the input's channels is a mismatch, never an
+        # inferred 2-group convolution
+        with pytest.raises(ShapeError, match="channel mismatch"):
+            ops.conv2d(Tensor(np.zeros((1, 4, 4, 4))),
+                       Tensor(np.zeros((2, 2, 3, 3))), None)
 
     def test_even_kernel_same_padding_raises(self):
         with pytest.raises(ShapeError, match="odd kernel"):
@@ -88,6 +93,57 @@ class TestConv2d:
         out = ops.conv2d(Tensor(x), Tensor(kern), Tensor(b))
         np.testing.assert_allclose(out.data, naive_conv2d(x, kern, b, k // 2),
                                    atol=1e-12)
+
+    def test_outputs_not_divisible_by_groups_raises(self):
+        with pytest.raises(ShapeError, match="groups"):
+            ops.conv2d(Tensor(np.zeros((1, 4, 4, 4))),
+                       Tensor(np.zeros((6, 1, 3, 3))), None, groups=4)
+
+    @staticmethod
+    def _per_group(x, k, b, groups):
+        """conv2d of each channel group on its own, concatenated."""
+        ci, co = x.shape[1] // groups, k.shape[0] // groups
+        outs = [ops.conv2d(Tensor(x[:, g * ci:(g + 1) * ci]),
+                           Tensor(k[g * co:(g + 1) * co]),
+                           Tensor(b[g * co:(g + 1) * co]))
+                for g in range(groups)]
+        return np.concatenate([o.data for o in outs], axis=1)
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_grouped_forward_bit_equal_per_group(self, groups, cin):
+        rng = np.random.default_rng(100 * groups + cin)
+        x = rng.standard_normal((3, groups * cin, 8, 6)).astype(np.float32)
+        k = rng.standard_normal((groups * 5, cin, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(groups * 5).astype(np.float32)
+        out = ops.conv2d(Tensor(x), Tensor(k), Tensor(b), groups=groups)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data,
+                                      self._per_group(x, k, b, groups))
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_grouped_gradients_match_per_group(self, groups, cin):
+        rng = np.random.default_rng(200 * groups + cin)
+        x = rng.standard_normal((2, groups * cin, 6, 5))
+        k = rng.standard_normal((groups * 2, cin, 3, 3))
+        b = rng.standard_normal(groups * 2)
+        coeffs = rng.standard_normal((2, groups * 2, 6, 5))
+        grouped = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        ops.project(ops.conv2d(*grouped, groups=groups), coeffs).backward()
+        ci, co = cin, 2
+        for g in range(groups):
+            parts = [Tensor(x[:, g * ci:(g + 1) * ci], requires_grad=True),
+                     Tensor(k[g * co:(g + 1) * co], requires_grad=True),
+                     Tensor(b[g * co:(g + 1) * co], requires_grad=True)]
+            ops.project(ops.conv2d(*parts),
+                        coeffs[:, g * co:(g + 1) * co]).backward()
+            for whole, part, sl in zip(
+                    grouped, parts,
+                    ((slice(None), slice(g * ci, (g + 1) * ci)),
+                     slice(g * co, (g + 1) * co), slice(g * co, (g + 1) * co))):
+                np.testing.assert_allclose(whole.grad[sl], part.grad,
+                                           rtol=0, atol=1e-12)
 
     def test_nonfinite_output_raises(self):
         x = Tensor(np.full((1, 1, 2, 2), 1e308))
@@ -130,6 +186,34 @@ class TestLayout:
             assert out.data.flags.c_contiguous, name
 
 
+def tensordot_conv_transpose2d(x, k, b):
+    """The four-tensordot form of a stride-2 2x2 transposed convolution
+    and its gradients (dx, dk, db) under upstream gradient g, one
+    tensordot per kernel tap."""
+    n, cin, h, w = x.shape
+    cout = k.shape[1]
+    out = np.empty((n, cout, 2 * h, 2 * w))
+    for dy in range(2):
+        for dx in range(2):
+            piece = np.tensordot(x, k[:, :, dy, dx], axes=([1], [0]))
+            out[:, :, dy::2, dx::2] = piece.transpose(0, 3, 1, 2)
+    out += b[None, :, None, None]
+
+    def grads(g):
+        gx = np.zeros(x.shape)
+        gk = np.empty(k.shape)
+        for dy in range(2):
+            for dx in range(2):
+                sub = g[:, :, dy::2, dx::2]
+                gx += np.tensordot(sub, k[:, :, dy, dx],
+                                   axes=([1], [1])).transpose(0, 3, 1, 2)
+                gk[:, :, dy, dx] = np.tensordot(x, sub,
+                                                axes=([0, 2, 3], [0, 2, 3]))
+        return gx, gk, g.sum(axis=(0, 2, 3))
+
+    return out, grads
+
+
 class TestConvTranspose2d:
     def test_single_pixel_broadcast(self):
         x = Tensor(np.full((1, 1, 1, 1), 5.0))
@@ -166,6 +250,23 @@ class TestConvTranspose2d:
                                 expect[0, co, 2 * y + dy, 2 * xx + dx] += \
                                     x[0, ci, y, xx] * k[ci, co, dy, dx]
         np.testing.assert_allclose(out, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,cout", [((1, 2, 4, 4), 3),
+                                            ((3, 5, 3, 7), 4),
+                                            ((2, 1, 1, 1), 1)])
+    def test_matches_tensordot_oracle(self, shape, cout):
+        rng = np.random.default_rng(sum(shape) + cout)
+        x = rng.standard_normal(shape)
+        k = rng.standard_normal((shape[1], cout, 2, 2))
+        b = rng.standard_normal(cout)
+        ts = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        out = ops.conv_transpose2d(*ts)
+        expect, grads = tensordot_conv_transpose2d(x, k, b)
+        np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+        g = rng.standard_normal(expect.shape)
+        ops.project(out, g).backward()
+        for t, ref in zip(ts, grads(g)):
+            np.testing.assert_allclose(t.grad, ref, rtol=0, atol=1e-12)
 
     def test_exactly_doubles_extents(self):
         for h, w in [(1, 1), (3, 5), (4, 4)]:
@@ -296,6 +397,49 @@ class TestBatchNorm:
         bn.running_mean = bn.running_mean - b.data
         folded = ops.batchnorm(ops.conv2d(x, k), bn, "eval").data
         np.testing.assert_allclose(folded, with_bias, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_matches_per_group_bit_for_bit(self, dtype):
+        # one batchnorm over 4 groups of 3 channels against 4 batch norms,
+        # over two train steps and one eval pass
+        rng = np.random.default_rng(22)
+        groups = [BatchNormParams(3, dtype=dtype) for _ in range(4)]
+        for p in groups:
+            p.scale.data = rng.standard_normal(3).astype(dtype)
+            p.shift.data = rng.standard_normal(3).astype(dtype)
+        alone = [BatchNormParams(3, dtype=dtype) for _ in range(4)]
+        for a, p in zip(alone, groups):
+            a.scale.data, a.shift.data = p.scale.data.copy(), p.shift.data.copy()
+        for mode in ("train", "train", "eval"):
+            x = (rng.standard_normal((3, 12, 6, 4)) * 2 + 1).astype(dtype)
+            out = ops.batchnorm(Tensor(x), ops.StackedBatchNorm(groups), mode)
+            for g, a in enumerate(alone):
+                ref = ops.batchnorm(Tensor(x[:, 3 * g:3 * g + 3]), a, mode)
+                np.testing.assert_array_equal(out.data[:, 3 * g:3 * g + 3],
+                                              ref.data)
+            for a, p in zip(alone, groups):
+                np.testing.assert_array_equal(p.running_mean, a.running_mean)
+                np.testing.assert_array_equal(p.running_var, a.running_var)
+
+    def test_running_stats_update_in_place(self):
+        bn = BatchNormParams(2, dtype=np.float64)
+        mean, var = bn.running_mean, bn.running_var
+        ops.batchnorm(Tensor(np.arange(16.0).reshape(2, 2, 2, 2)),
+                      ops.StackedBatchNorm([bn]), "train")
+        assert bn.running_mean is mean and bn.running_var is var
+        np.testing.assert_allclose(mean, 0.1 * np.array([5.5, 9.5]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 8, 64, 64), (2, 5, 7, 3),
+                                       (1, 4, 1, 2)])
+    def test_train_statistics_equal_numpy_mean_var(self, dtype, shape):
+        rng = np.random.default_rng(23)
+        x = (rng.standard_normal(shape) * 3 + 2).astype(dtype)
+        bn = BatchNormParams(shape[1], dtype=dtype)
+        bn.momentum = 0.0  # the running statistics become the batch's
+        ops.batchnorm(Tensor(x), bn, "train")
+        np.testing.assert_array_equal(bn.running_mean, x.mean(axis=(0, 2, 3)))
+        np.testing.assert_array_equal(bn.running_var, x.var(axis=(0, 2, 3)))
 
     def test_single_element_train_raises(self):
         bn = BatchNormParams(1)
@@ -478,3 +622,26 @@ class TestGradCheckHarness:
         report = grad_check(corrupted, ts, tolerance=1e-4)
         assert report.kinks == 1
         assert not report.passed
+
+    def test_smooth_op_off_by_five_tolerances_fails(self):
+        # exp(10 x) with an analytic gradient 5e-4 too large: at step
+        # 1e-4 its one-sided slopes differ by about 1e-3 from curvature
+        # alone, and the gradient sits on one of them; the smaller step
+        # shows the gap shrinking, so no entry counts as a kink
+        rng = np.random.default_rng(18)
+        ts = {"x": Tensor(0.3 * rng.standard_normal((2, 3)),
+                          requires_grad=True)}
+        coeffs = rng.standard_normal((2, 3))
+
+        def exp10():
+            x = ts["x"]
+            e = np.exp(10.0 * x.data)
+
+            def backward(g):
+                x._accumulate(g * 10.0 * e * (1.0 + 5e-4))
+            return ops.project(make_node(e, (x,), backward), coeffs)
+
+        report = grad_check(exp10, ts, tolerance=1e-4)
+        assert report.kinks == 0
+        assert not report.passed
+        assert report.worst() > 4e-4
