@@ -12,9 +12,9 @@ import time
 from dataclasses import fields
 
 from . import metrics
-from .dataio import (FormatError, gen_synthetic_case, load_checkpoint,
-                     normalize_volume, read_volume, save_checkpoint,
-                     write_volume)
+from .dataio import (MIN_EXTENT, FormatError, gen_synthetic_case,
+                     load_checkpoint, normalize_volume, read_volume,
+                     save_checkpoint, write_volume)
 from .gradsuite import run_suite
 from .network import (ModelConfig, config_text, init_params, parse_config,
                       predict_volume)
@@ -79,8 +79,9 @@ def write_text(path, text):
     atomic_write(path, writer)
 
 
-def load_cases(data_dir, normalize=True):
-    """Reads case_<i>_img.mmv / case_<i>_lbl.mmv pairs, sorted by index."""
+def load_cases(data_dir):
+    """Reads case_<i>_img.mmv / case_<i>_lbl.mmv pairs, sorted by index;
+    each image comes back normalized."""
     cases = []
     names = sorted(n for n in os.listdir(data_dir) if n.endswith("_img.mmv"))
     if not names:
@@ -93,9 +94,7 @@ def load_cases(data_dir, normalize=True):
         lbl, kind = read_volume(os.path.join(data_dir, lbl_name))
         if kind != "label":
             raise FormatError(f"{lbl_name} is not a label volume")
-        if normalize:
-            img = normalize_volume(img)
-        cases.append((img, lbl))
+        cases.append((normalize_volume(img), lbl))
     return cases
 
 
@@ -104,8 +103,10 @@ def cmd_gen(args):
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError:
         dims = ()
-    if len(dims) != 3:
-        raise ConfigError("--dims must be D,H,W")
+    if len(dims) != 3 or min(dims) < MIN_EXTENT:
+        raise ConfigError(f"--dims must be D,H,W, each at least {MIN_EXTENT}")
+    if args.count < 1:
+        raise ConfigError("--count must be at least 1")
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         volume, labels = gen_synthetic_case(args.seed + i, dims)
@@ -144,21 +145,16 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    truths = []
-    preds = []
-    cases = load_cases(args.data, normalize=False)
+    cases = load_cases(args.data)
+    truths = [lbl for _, lbl in cases]
     if args.use_truth:
-        k = max(int(lbl.max()) for _, lbl in cases) + 1
-        for _, lbl in cases:
-            truths.append(lbl)
-            preds.append(lbl)
+        k = max(int(lbl.max()) for lbl in truths) + 1
+        preds = truths
     else:
         params, config = load_checkpoint(args.model)
         k = config.class_count
-        for img, lbl in cases:
-            vol = normalize_volume(img)
-            preds.append(predict_volume(params, vol, config.sequence_length))
-            truths.append(lbl)
+        preds = [predict_volume(params, img, config.sequence_length)
+                 for img, _ in cases]
     report = metrics.evaluate(preds, truths, k)
     write_text(args.report, report.to_text())
     print(report.to_text(), end="")

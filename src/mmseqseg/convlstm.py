@@ -31,9 +31,7 @@ class ConvLstmParams:
                  dtype=np.float32):
         if kernel_size % 2 == 0:
             raise ShapeError("convLSTM kernel size must be odd for same padding")
-        self.in_channels = in_channels
         self.hidden_channels = hidden_channels
-        self.kernel_size = kernel_size
         k = kernel_size
         z = lambda *s: Tensor(np.zeros(s, dtype=dtype), requires_grad=True)
         for g in self.GATES:

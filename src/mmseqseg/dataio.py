@@ -18,13 +18,15 @@ from dataclasses import fields
 
 import numpy as np
 
-from .network import ModelConfig, ModelParams, config_text, parse_config
+from .network import (ModelConfig, ModelParams, config_text, parameter_count,
+                      parse_config)
 
 MAGIC_VOLUME = b"MMV1"
 MAGIC_CHECKPOINT = b"MMCK"
 CHECKPOINT_VERSION = 1
 DTYPE_F32 = 0
 DTYPE_U8 = 1
+MAX_NDIM = 4  # conv kernels; every other tensor has fewer dims
 
 T1C_CHANNEL = 3
 
@@ -53,10 +55,14 @@ class NameCollisionError(FormatError):
     pass
 
 
+def _bytes_left(f):
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_exact(f, n, what):
     # n may come from a forged header: check it against the bytes left in
     # the file before read() allocates n bytes
-    left = os.fstat(f.fileno()).st_size - f.tell()
+    left = _bytes_left(f)
     if n > left:
         raise TruncatedPayloadError(
             f"{what} declares {n} bytes, the file has {left} left")
@@ -99,6 +105,8 @@ def read_volume(path):
         if magic != MAGIC_VOLUME:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC_VOLUME!r}")
         c, d, h, w = struct.unpack("<4I", _read_exact(f, 16, "header dims"))
+        if not c * d * h * w:
+            raise FormatError(f"volume declares an empty extent {(c, d, h, w)}")
         (code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
         if code == DTYPE_F32:
             n = c * d * h * w
@@ -152,6 +160,13 @@ def load_checkpoint(path):
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
         config = _parse_model_config(
             _decode(_read_exact(f, cfg_len, "config"), "config"))
+        # the config sizes ModelParams: check it against the file first
+        need = parameter_count(config)
+        left = _bytes_left(f) // 4
+        if need > left:
+            raise TruncatedPayloadError(
+                f"config declares {need} parameters, the file holds at most "
+                f"{left} values")
         tensors = {}
         while True:
             head = f.read(4)
@@ -164,6 +179,9 @@ def load_checkpoint(path):
             if name in tensors:
                 raise NameCollisionError(f"duplicate tensor name {name}")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
+            if ndim > MAX_NDIM:
+                raise FormatError(f"{name} declares {ndim} dims, a model "
+                                  f"tensor has at most {MAX_NDIM}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
             n = math.prod(dims)
             raw = _read_exact(f, 4 * n, f"payload of {name}")
@@ -248,6 +266,7 @@ _CLASS_MEANS = np.array([
 ], dtype=np.float32)
 
 NOISE_SIGMA = 0.04
+MIN_EXTENT = 16  # smallest phantom extent along each axis
 
 
 def _ellipsoid_mask(dims, center, radii):
@@ -267,8 +286,8 @@ def gen_synthetic_case(seed, dims):
     Returns (volume (4,D,H,W) float32, labels (D,H,W) uint8).
     """
     d, h, w = dims
-    if min(dims) < 16:
-        raise ValueError("each extent must be at least 16")
+    if min(dims) < MIN_EXTENT:
+        raise ValueError(f"each extent must be at least {MIN_EXTENT}")
     rng = np.random.default_rng(seed)
     total = d * h * w
 

@@ -1,9 +1,11 @@
 """Volumetric evaluation: per-class IU / MeanIU plus Dice, PPV and
 Sensitivity over the clinical tumor regions.
 
-All counting is exact integer arithmetic on confusion matrices; the
-region scores binarize both volumes by membership in the region's
-label set.
+Every score comes from one K x K confusion matrix, in exact integer
+arithmetic. A region binarizes both volumes by membership in its label
+set, so its counts are sums of one block of the matrix: the
+intersection sums the rows and columns of the region's labels, the
+predicted count its columns and the true count its rows.
 """
 
 from dataclasses import dataclass, field
@@ -54,12 +56,14 @@ def mean_iu(cm):
     return iu, float(iu[included].mean())
 
 
-def region_counts(pred, truth, region):
-    pred_in = np.isin(pred, list(region.labels))
-    truth_in = np.isin(truth, list(region.labels))
-    return (int(np.count_nonzero(pred_in & truth_in)),
-            int(np.count_nonzero(pred_in)),
-            int(np.count_nonzero(truth_in)))
+def region_counts(cm, region):
+    """(intersection, predicted, true) voxel counts of a region from a
+    confusion matrix; labels at or above its size K count 0."""
+    k = cm.shape[0]
+    labels = [c for c in region.labels if c < k]
+    block = cm[labels]  # true rows in the region
+    return (int(block[:, labels].sum()), int(cm[:, labels].sum()),
+            int(block.sum()))
 
 
 def scores_from_counts(inter, npred, ntruth):
@@ -74,11 +78,9 @@ def scores_from_counts(inter, npred, ntruth):
 
 
 def region_scores(pred, truth, region):
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
-    return scores_from_counts(*region_counts(pred, truth, region))
+    """Dice/PPV/Sensitivity of one region over a pair of label arrays."""
+    k = int(max(np.max(pred, initial=0), np.max(truth, initial=0))) + 1
+    return scores_from_counts(*region_counts(confusion(pred, truth, k), region))
 
 
 @dataclass
@@ -100,19 +102,13 @@ class MetricsReport:
         return "".join(l + "\n" for l in lines)
 
 
-def evaluate(pred_volumes, truth_volumes, k, regions=DEFAULT_REGIONS):
-    """Aggregate report over paired label volumes (voxel-pooled)."""
+def evaluate(pred_volumes, truth_volumes, k):
+    """Aggregate report over paired label volumes: one confusion matrix
+    pooled over all voxels, and every score derived from it."""
     cm = np.zeros((k, k), dtype=np.int64)
-    counts = {r.name: [0, 0, 0] for r in regions}
     for pred, truth in zip(pred_volumes, truth_volumes):
         cm += confusion(pred, truth, k)
-        for r in regions:
-            i, p, t = region_counts(pred, truth, r)
-            counts[r.name][0] += i
-            counts[r.name][1] += p
-            counts[r.name][2] += t
     iu, miu = mean_iu(cm)
-    report = MetricsReport(iu=iu, mean_iu=miu)
-    for r in regions:
-        report.regions[r.name] = scores_from_counts(*counts[r.name])
-    return report
+    return MetricsReport(iu=iu, mean_iu=miu, regions={
+        r.name: scores_from_counts(*region_counts(cm, r))
+        for r in DEFAULT_REGIONS})

@@ -49,6 +49,9 @@ class ModelConfig:
         for name in ("modality_count", "class_count", "sequence_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.class_count > 256:
+            raise ValueError("class_count must be at most 256: labels are "
+                             "stored as u8")
         if min(self.encoder_channels) < 1:
             raise ValueError("every encoder_channels width must be at least 1")
         if self.convlstm_kernel < 1 or self.convlstm_kernel % 2 == 0:
@@ -88,6 +91,23 @@ def parse_config(cls, values):
         except ValueError as e:
             raise ValueError(f"bad value for {f.name}: {text!r}") from e
     return cls(**kwargs)
+
+
+def parameter_count(config):
+    """Values that ModelParams(config) holds, trainable tensors and
+    batch-norm state, computed without allocating any of them."""
+    widths, m = config.encoder_channels, config.modality_count
+
+    def convbn(cin, cout):  # kernel, then scale, shift, running mean, var
+        return cout * cin * 9 + 4 * cout
+
+    n = m * sum(convbn(cin, c) for cin, c in zip((1,) + widths[:-1], widths))
+    n += sum(c * m + c for c in widths)  # CMC weights and bias
+    ch, kl = widths[-1], config.convlstm_kernel
+    n += 4 * (2 * ch * ch * kl * kl + ch)  # convLSTM kernels and biases
+    for cin, cout in zip(widths[::-1], widths[-2::-1] + widths[:1]):
+        n += cin * cout * 4 + cout + convbn(cout, cout)  # decoder stage
+    return n + config.class_count * (widths[0] + 1)  # classifier
 
 
 class ConvBnParams:
@@ -272,8 +292,7 @@ def forward(params, sequence, mode="eval", intermediates=None):
     Returns a list of T (K,H,W) probability arrays. Builds no autograd
     graph, so each op's saved buffers die as soon as the op returns.
     """
-    x_seq = np.asarray([np.asarray(s) for s in sequence]) \
-        if isinstance(sequence, (list, tuple)) else np.asarray(sequence)
+    x_seq = np.asarray(sequence)
     with no_grad():
         logits = forward_logits(params, x_seq, mode, intermediates)
     probs = ops.softmax(logits.data, axis=1)
@@ -284,8 +303,11 @@ def predict_volume(params, volume, seq_len):
     """Argmax label volume (D,H,W) for a normalized (M,D,H,W) volume.
 
     Depth is tiled in non-overlapping windows of seq_len; a final
-    partial window is padded by repeating the last slice and trimmed
-    after prediction. Ties go to the lowest class id.
+    partial window is run as the shorter sequence it is. That gives the
+    same labels as padding it to seq_len: the convLSTM runs forward in
+    depth, so a slice never sees a later one, and every other layer
+    works per slice (batch norm runs on its running statistics). Ties go
+    to the lowest class id.
     """
     volume = np.asarray(volume)
     m, d, h, w = volume.shape
@@ -293,9 +315,8 @@ def predict_volume(params, volume, seq_len):
         raise ShapeError("volume has no depth")
     out = np.empty((d, h, w), dtype=np.uint8)
     for start in range(0, d, seq_len):
-        idx = np.minimum(np.arange(start, start + seq_len), d - 1)
-        x_seq = volume[:, idx].transpose(1, 0, 2, 3)  # (T, M, H, W)
+        x_seq = volume[:, start:start + seq_len].transpose(1, 0, 2, 3)
         probs = forward(params, x_seq, mode="eval")
-        for j, depth in enumerate(range(start, min(start + seq_len, d))):
-            out[depth] = probs[j].argmax(axis=0).astype(np.uint8)
+        for j, p in enumerate(probs):
+            out[start + j] = p.argmax(axis=0)
     return out

@@ -54,8 +54,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
                  "_swept")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()

@@ -115,6 +115,12 @@ def sample_natural(dataset, rng, batch_size=1):
     return [dataset.fetch(dataset.windows[i]) for i in picks]
 
 
+# Adam's moment decay rates and denominator offset
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class OptimizerState:
     """Adam moment accumulators keyed by parameter name."""
 
@@ -124,21 +130,21 @@ class OptimizerState:
         self.step = 0
 
 
-def adam_update(named_params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_update(named_params, state, lr):
     """Standard Adam step with bias correction, in place."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in named_params.items():
         g = p.grad
         if g is None:
             continue
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {name}")
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m = state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_gradients(named_params, max_norm):

@@ -82,10 +82,18 @@ class TestGen:
     def test_no_partial_files(self, tiny_data):
         assert not [n for n in os.listdir(tiny_data) if n.endswith(".partial")]
 
-    @pytest.mark.parametrize("dims", ["a,16,16", "16,16"])
+    @pytest.mark.parametrize("dims", ["a,16,16", "16,16", "8,16,16",
+                                      "16,16,15"])
     def test_bad_dims_is_usage_error(self, tmp_path, dims):
         assert run("gen", "--out", str(tmp_path / "d"), "--dims", dims) \
             == EXIT_USAGE
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_usage_error(self, tmp_path, count, capsys):
+        assert run("gen", "--out", str(tmp_path / "d"), "--count", count,
+                   "--dims", "16,16,16") == EXIT_USAGE
+        assert "--count" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
 
@@ -133,6 +141,7 @@ class TestTrain:
         "batch_size = 0",
         "modality_count = 0",
         "class_count = 0",
+        "class_count = 257",
         "encoder_channels = 0,16,32,64",
         "sequence_length = 0",
         "convlstm_kernel = 2",
@@ -235,6 +244,18 @@ class TestPredict:
                 "--volume", str(tiny_data / "case_0_img.mmv"),
                 "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_window_longer_than_volume(self, tiny_data, tmp_path):
+        # the window length only tiles the depth; it sizes nothing
+        params = init_params(ModelConfig(seed=1, encoder_channels=(2, 3, 4, 5),
+                                         input_height=16, input_width=16,
+                                         sequence_length=10**9))
+        ckpt, out = tmp_path / "long.mmck", tmp_path / "pred.mmv"
+        save_checkpoint(ckpt, params)
+        assert run("predict", "--model", str(ckpt),
+                   "--volume", str(tiny_data / "case_0_img.mmv"),
+                   "--out", str(out)) == EXIT_OK
+        assert read_volume(out)[0].shape == (16, 16, 16)
 
     def test_indivisible_extent_rejected(self, ckpt, tmp_path):
         vol = np.zeros((4, 4, 20, 20), dtype=np.float32)

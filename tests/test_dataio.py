@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from mmseqseg.dataio import (BadMagicError, FormatError, NameCollisionError,
                              VersionError, gen_synthetic_case, load_checkpoint,
                              normalize_volume, read_volume, save_checkpoint,
                              write_volume)
-from mmseqseg.network import ModelConfig, forward, init_params, predict_volume
+from mmseqseg.network import (ModelConfig, ModelParams, forward, init_params,
+                              parameter_count, predict_volume)
 from mmseqseg.training import SequenceDataset
 
 
@@ -76,6 +78,13 @@ class TestVolumeFormat:
         path.write_bytes(b"MMV1" + struct.pack("<4I", *[0xFFFFFFFF] * 4)
                          + struct.pack("<B", code))
         with pytest.raises(FormatError, match="declares"):
+            read_volume(path)
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_empty_extent_rejected(self, tmp_path, code):
+        path = tmp_path / "empty.mmv"
+        path.write_bytes(b"MMV1" + struct.pack("<4IB", 1, 0, 16, 16, code))
+        with pytest.raises(FormatError, match="empty extent"):
             read_volume(path)
 
     def test_multichannel_label_rejected(self, tmp_path):
@@ -169,6 +178,60 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes() + record)
         with pytest.raises(FormatError, match="declares"):
             load_checkpoint(path)
+
+    def test_too_many_dims_is_format_error(self, tmp_path):
+        # 65 dims, one of them 0: a well-sized empty payload numpy cannot
+        # reshape
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        path.write_bytes(path.read_bytes() + struct.pack("<I", 1) + b"x"
+                         + struct.pack("<66I", 65, 0, *[1] * 64))
+        with pytest.raises(FormatError, match="65 dims"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [
+        dict(modality_count=1, class_count=1),
+        dict(modality_count=2, class_count=3, encoder_channels=(4, 6, 8, 10),
+             convlstm_kernel=5),
+        dict(),
+    ])
+    def test_parameter_count_matches_model(self, config):
+        params = ModelParams(ModelConfig(**config))
+        held = [t.data for t in params.named_tensors().values()]
+        held += params.named_state().values()
+        assert parameter_count(params.config) == sum(a.size for a in held)
+
+    @pytest.mark.parametrize("key, value", [
+        ("encoder_channels", ",".join(["1000000000"] * 4)),
+        ("encoder_channels", "8,16,32,2000"),
+        ("modality_count", "10000000"),
+        ("convlstm_kernel", "10001"),
+        ("class_count", "1000000000"),
+    ])
+    @pytest.mark.parametrize("records", [False, True],
+                             ids=["config-only", "with-records"])
+    def test_forged_config_allocates_nothing(self, tmp_path, key, value,
+                                             records):
+        # a config that sizes the model beyond the file is rejected before
+        # ModelParams allocates it
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        data = path.read_bytes()
+        text, rest = checkpoint_config(data)
+        lines = [f"{key}={value}" if line.startswith(key + "=") else line
+                 for line in text.splitlines()]
+        forged = with_config(data, "\n".join(lines) + "\n")
+        if not records:
+            forged = forged[:len(forged) - (len(data) - rest)]
+        path.write_bytes(forged)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_unknown_tensor_rejected(self, tmp_path):
         path = tmp_path / "m.mmck"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mmseqseg.metrics import (DEFAULT_REGIONS, MetricsReport, RegionSpec,
-                              confusion, evaluate, mean_iu, region_scores)
+                              confusion, evaluate, mean_iu, region_counts,
+                              region_scores, scores_from_counts)
 
 
 def brute_confusion(pred, truth, k):
@@ -119,6 +120,47 @@ class TestRegionScores:
             assert d1 == pytest.approx(d2, abs=1e-15)
             assert p1 == pytest.approx(s2, abs=1e-15)
             assert s1 == pytest.approx(p2, abs=1e-15)
+
+
+class TestRegionsFromConfusion:
+    @staticmethod
+    def isin_scores(preds, truths, region):
+        """Dice/PPV/Sensitivity from voxel sets pooled over volumes."""
+        labels = list(region.labels)
+        inter = npred = ntruth = 0
+        for pred, truth in zip(preds, truths):
+            p, t = np.isin(pred, labels), np.isin(truth, labels)
+            inter += int(np.count_nonzero(p & t))
+            npred += int(np.count_nonzero(p))
+            ntruth += int(np.count_nonzero(t))
+        return scores_from_counts(inter, npred, ntruth)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    def test_evaluate_matches_isin_oracle(self, k):
+        # k below 5 leaves some region labels out of the matrix
+        rng = np.random.default_rng(20 + k)
+        for _ in range(10):
+            shapes = [tuple(rng.integers(1, 9, size=3)) for _ in range(3)]
+            preds = [rng.integers(0, k, size=s) for s in shapes]
+            truths = [rng.integers(0, k, size=s) for s in shapes]
+            report = evaluate(preds, truths, k)
+            for region in DEFAULT_REGIONS:
+                assert report.regions[region.name] == \
+                    self.isin_scores(preds, truths, region)
+
+    def test_counts_are_blocks_of_the_matrix(self):
+        cm = np.arange(25).reshape(5, 5)
+        region = RegionSpec("x", frozenset({1, 3}))
+        rows = cm[1] + cm[3]
+        assert region_counts(cm, region) == (
+            cm[1, 1] + cm[1, 3] + cm[3, 1] + cm[3, 3],
+            cm[:, 1].sum() + cm[:, 3].sum(), rows.sum())
+
+    def test_labels_beyond_the_matrix_count_zero(self):
+        cm = np.arange(9).reshape(3, 3)
+        assert region_counts(cm, RegionSpec("x", frozenset({4}))) == (0, 0, 0)
+        assert region_counts(cm, RegionSpec("x", frozenset({2, 4}))) == \
+            region_counts(cm, RegionSpec("x", frozenset({2})))
 
 
 class TestRegionSpec:

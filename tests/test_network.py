@@ -323,6 +323,30 @@ class TestPredictVolume:
         out = predict_volume(params, vol, seq_len=2)
         assert out.shape == (5, 16, 16)
 
+    @staticmethod
+    def padded_predict(params, volume, seq_len):
+        """Reference labels: a final partial window is padded to seq_len
+        by repeating the last slice, and the padding is trimmed."""
+        m, d, h, w = volume.shape
+        out = np.empty((d, h, w), dtype=np.uint8)
+        for start in range(0, d, seq_len):
+            idx = np.minimum(np.arange(start, start + seq_len), d - 1)
+            probs = forward(params, volume[:, idx].transpose(1, 0, 2, 3))
+            for j in range(min(seq_len, d - start)):
+                out[start + j] = probs[j].argmax(axis=0)
+        return out
+
+    @pytest.mark.parametrize("seq_len", [2, 3, 4, 7])
+    def test_partial_window_equals_padded(self, seq_len):
+        params = init_params(ModelConfig(seed=16 + seq_len, **TINY))
+        rng = np.random.default_rng(seq_len)
+        # depths below the window, and every tail length after a full one
+        for d in range(1, 2 * seq_len + 1):
+            vol = rng.standard_normal((4, d, 16, 16)).astype(np.float32)
+            np.testing.assert_array_equal(
+                predict_volume(params, vol, seq_len),
+                self.padded_predict(params, vol, seq_len))
+
     def test_zero_logit_model_ties_to_lowest_class(self):
         config = ModelConfig(seed=12, **TINY)
         params = init_params(config)
