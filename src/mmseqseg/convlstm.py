@@ -3,13 +3,13 @@
 Gates use same-padded convolutions so hidden maps keep the input's
 spatial extents; weights are shared across all timesteps.
 
-The twelve gate tensors are stacked along the output-channel axis in
-i, f, c, o order once per call: one (4*Ch, Cx, k, k) input kernel, one
-(4*Ch, Ch, k, k) recurrent kernel and one (4*Ch,) bias (the form of Shi
-et al. 2015). The input convolution does not depend on the recurrence,
-so a sequence runs it once over all T inputs; each step then adds one
-recurrent convolution of h_{t-1} (none at t=0, where h is zero) and two
-cell nodes, c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t).
+The parameters are stored gate-stacked along the output-channel axis in
+i, f, c, o order: one (4*Ch, Cx, k, k) input kernel, one (4*Ch, Ch, k,
+k) recurrent kernel and one (4*Ch,) bias (the form of Shi et al. 2015).
+The input convolution does not depend on the recurrence, so a sequence
+runs it once over all T inputs; each step then adds one recurrent
+convolution of h_{t-1} (none at t=0, where h is zero) and two cell
+nodes, c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t).
 """
 
 import numpy as np
@@ -19,11 +19,9 @@ from .tensor import ShapeError, Tensor, make_node
 
 
 class ConvLstmParams:
-    """Eight gate kernels plus four per-channel biases.
-
-    Input-to-state kernels are (Ch, Cx, k, k); state-to-state kernels
-    are (Ch, Ch, k, k).
-    """
+    """The gate-stacked kernels and bias: wx (4*Ch, Cx, k, k), wh
+    (4*Ch, Ch, k, k) and b (4*Ch,), gate g in rows g*Ch ... (g+1)*Ch - 1
+    of each, in GATES order."""
 
     GATES = ("i", "f", "c", "o")
 
@@ -32,26 +30,26 @@ class ConvLstmParams:
         if kernel_size % 2 == 0:
             raise ShapeError("convLSTM kernel size must be odd for same padding")
         self.hidden_channels = hidden_channels
-        k = kernel_size
+        k, rows = kernel_size, 4 * hidden_channels
         z = lambda *s: Tensor(np.zeros(s, dtype=dtype), requires_grad=True)
-        for g in self.GATES:
-            setattr(self, f"W_x{g}", z(hidden_channels, in_channels, k, k))
-            setattr(self, f"W_h{g}", z(hidden_channels, hidden_channels, k, k))
-            setattr(self, f"b_{g}", z(hidden_channels))
+        self.wx = z(rows, in_channels, k, k)
+        self.wh = z(rows, hidden_channels, k, k)
+        self.b = z(rows)
 
     def named_tensors(self, prefix=""):
-        out = {}
-        for g in self.GATES:
-            out[f"{prefix}W_x{g}"] = getattr(self, f"W_x{g}")
-            out[f"{prefix}W_h{g}"] = getattr(self, f"W_h{g}")
-            out[f"{prefix}b_{g}"] = getattr(self, f"b_{g}")
-        return out
+        return {f"{prefix}wx": self.wx, f"{prefix}wh": self.wh,
+                f"{prefix}b": self.b}
 
-    def stacked(self):
-        """(input kernel, recurrent kernel, bias) with the gates stacked
-        along the output-channel axis in i, f, c, o order."""
-        return tuple(concat0([getattr(self, f"{name}{g}") for g in self.GATES])
-                     for name in ("W_x", "W_h", "b_"))
+    def gate_records(self, prefix=""):
+        """Each gate's input kernel, recurrent kernel and bias as views
+        into the stacks, named `W_x<g>`, `W_h<g>` and `b_<g>`."""
+        ch, out = self.hidden_channels, {}
+        for i, g in enumerate(self.GATES):
+            rows = slice(i * ch, (i + 1) * ch)
+            out[f"{prefix}W_x{g}"] = self.wx.data[rows]
+            out[f"{prefix}W_h{g}"] = self.wh.data[rows]
+            out[f"{prefix}b_{g}"] = self.b.data[rows]
+        return out
 
 
 class ConvLstmState:
@@ -123,8 +121,8 @@ def convlstm_step(x_t, state, params):
             f"input batch and spatial {x_t.shape} do not match state "
             f"{state.h.shape}"
         )
-    wx, wh, b = params.stacked()
-    h_t, c_t = _cell(conv2d(x_t, wx, b), 0, conv2d(state.h, wh, None), state.c)
+    h_t, c_t = _cell(conv2d(x_t, params.wx, params.b), 0,
+                     conv2d(state.h, params.wh, None), state.c)
     return h_t, ConvLstmState(h_t, c_t)
 
 
@@ -144,13 +142,12 @@ def convlstm_sequence(xs, params):
     else:
         x = concat0(list(xs))  # time-major: step t is rows t*N:(t+1)*N
     n = x.shape[0] // t_len
-    wx, wh, b = params.stacked()
-    zx = conv2d(x, wx, b)  # every step's input projection at once
+    zx = conv2d(x, params.wx, params.b)  # every step's input projection
     c = Tensor(np.zeros((n, params.hidden_channels) + x.shape[2:],
                         dtype=x.dtype))
     hs_out = []
     for t in range(t_len):
-        zh = conv2d(hs_out[-1], wh, None) if hs_out else None
+        zh = conv2d(hs_out[-1], params.wh, None) if hs_out else None
         h_t, c = _cell(zx, t * n, zh, c)
         hs_out.append(h_t)
     return hs_out

@@ -127,12 +127,9 @@ def read_volume(path):
 
 
 def save_checkpoint(path, params):
-    """Serialize model config + every tensor (trainable and BN state)."""
-    tensors = {name: t.data for name, t in params.named_tensors().items()}
-    for name, arr in params.named_state().items():
-        if name in tensors:
-            raise NameCollisionError(f"duplicate tensor name {name}")
-        tensors[name] = arr
+    """Serialize model config + every record of `params.records()`
+    (trainable tensors and BN state)."""
+    tensors = params.records()
     cfg_bytes = config_text(params.config).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC_CHECKPOINT)
@@ -195,27 +192,23 @@ def load_checkpoint(path):
         return tensors[name]
 
     params = ModelParams(config)
-    for name, bn in params.batchnorms().items():
+    records = params.records()
+    for mean in [name for name in records if name.endswith(".running_mean")]:
         # a file written while conv-BN blocks had a conv bias b: fold b
         # into the running mean, as in eval mode
         # (conv + b - rm) * a + shift == (conv - (rm - b)) * a + shift
-        block = name.removesuffix(".bn")
+        block = mean.removesuffix(".bn.running_mean")
         bias = tensors.pop(f"{block}.bias", None)
         if bias is not None:
-            if bias.shape != bn.running_mean.shape:
+            if bias.shape != records[mean].shape:
                 raise FormatError(f"shape mismatch for {block}.bias")
-            mean = f"{name}.running_mean"
-            tensors[mean] = stored(mean, bn.running_mean) - bias
-    known = params.named_tensors().keys() | params.named_state().keys()
-    unknown = [name for name in tensors if name not in known]
+            tensors[mean] = stored(mean, records[mean]) - bias
+    unknown = [name for name in tensors if name not in records]
     if unknown:
         raise FormatError(
             f"checkpoint holds unknown tensor {', '.join(unknown)}")
-    for name, t in params.named_tensors().items():
-        t.data = stored(name, t)
-    for name, bn in params.batchnorms().items():
-        bn.running_mean = stored(f"{name}.running_mean", bn.running_mean)
-        bn.running_var = stored(f"{name}.running_var", bn.running_var)
+    for name, view in records.items():
+        view[...] = stored(name, view)
     return params, config
 
 

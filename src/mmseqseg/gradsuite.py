@@ -147,7 +147,7 @@ def check_convlstm_sequence(seed, tol, steps=3):
     return grad_check(fn, ts, tolerance=tol)
 
 
-def check_end_to_end(seed, tol, entries_per_tensor=2):
+def check_end_to_end(seed, tol, entries_per_tensor=5):
     """Loss gradient of the full network on a 16x16 input, probing a
     random subset of entries in every parameter group. The step is 1e-6:
     a wider one straddles ReLU and max-pool kinks at many seeds."""

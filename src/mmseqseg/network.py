@@ -8,10 +8,13 @@ every pooling; the deepest CMC map drives the convLSTM; the decoder
 multiplies each scale's CMC map into its path and doubles the extents
 back up to H x W.
 
-The M encoders keep their own parameters (`params.encoders[m][s]`) but
-run as one chain over a grouped map (T, M*C, h, w) whose channel group m
-is modality m's: each stage is one grouped conv2d, one batchnorm, one
-relu and one maxpool2x2 over all M modalities.
+The M encoders are stored grouped: `params.encoders[s]` is one conv-BN
+block over M*C channels whose kernel rows and batch-norm channels
+m*C ... (m+1)*C - 1 are modality m's. They run as one chain over a
+grouped map (T, M*C, h, w) whose channel group m is modality m's: each
+stage is one grouped conv2d, one batchnorm, one relu and one maxpool2x2
+over all M modalities. `ModelParams.records()` names modality m's and
+each convLSTM gate's slices for the checkpoint.
 """
 
 from dataclasses import dataclass, fields
@@ -21,8 +24,8 @@ import numpy as np
 from . import ops
 from .convlstm import ConvLstmParams, convlstm_sequence
 from .crossmodal import CmcParams, cmc_forward, mrf_fuse, stack_modalities
-from .ops import (BatchNormParams, StackedBatchNorm, batchnorm, conv2d,
-                  conv_transpose2d, maxpool2x2, relu)
+from .ops import (BatchNormParams, batchnorm, conv2d, conv_transpose2d,
+                  maxpool2x2, relu)
 from .tensor import ShapeError, Tensor, no_grad
 
 N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
@@ -101,7 +104,7 @@ def parameter_count(config):
     def convbn(cin, cout):  # kernel, then scale, shift, running mean, var
         return cout * cin * 9 + 4 * cout
 
-    n = m * sum(convbn(cin, c) for cin, c in zip((1,) + widths[:-1], widths))
+    n = sum(convbn(cin, m * c) for cin, c in zip((1,) + widths[:-1], widths))
     n += sum(c * m + c for c in widths)  # CMC weights and bias
     ch, kl = widths[-1], config.convlstm_kernel
     n += 4 * (2 * ch * ch * kl * kl + ch)  # convLSTM kernels and biases
@@ -114,8 +117,6 @@ class ConvBnParams:
     """One 3x3 convolution plus its batch norm. The convolution has no
     bias: batch norm subtracts the channel mean, which cancels one, and
     its `shift` is the per-channel offset."""
-
-    bias = None
 
     def __init__(self, cin, cout, dtype=np.float32):
         self.kernel = Tensor(np.zeros((cout, cin, 3, 3), dtype=dtype),
@@ -138,13 +139,10 @@ class ModelParams:
         self.config = config
         widths = config.encoder_channels
         m, k = config.modality_count, config.class_count
-        self.encoders = []  # [modality][scale] -> ConvBnParams
-        for _ in range(m):
-            stages, cin = [], 1
-            for c in widths:
-                stages.append(ConvBnParams(cin, c, dtype=dtype))
-                cin = c
-            self.encoders.append(stages)
+        # one grouped conv-BN block per scale, modality m in rows
+        # m*C ... (m+1)*C - 1
+        self.encoders = [ConvBnParams(cin, m * c, dtype=dtype)
+                         for cin, c in zip((1,) + widths[:-1], widths)]
         self.cmc = [CmcParams(c, m, dtype=dtype) for c in widths]
         self.lstm = ConvLstmParams(widths[-1], widths[-1],
                                    config.convlstm_kernel, dtype=dtype)
@@ -166,9 +164,8 @@ class ModelParams:
             out[f"{prefix}.bn.scale"] = p.bn.scale
             out[f"{prefix}.bn.shift"] = p.bn.shift
 
-        for m, stages in enumerate(self.encoders):
-            for s, p in enumerate(stages):
-                convbn(f"enc{m}.s{s}", p)
+        for s, p in enumerate(self.encoders):
+            convbn(f"enc.s{s}", p)
         for s, p in enumerate(self.cmc):
             out[f"cmc{s}.weights"] = p.weights
             out[f"cmc{s}.bias"] = p.bias
@@ -181,23 +178,45 @@ class ModelParams:
         out["cls.bias"] = self.cls_bias
         return out
 
-    def batchnorms(self):
-        """Every batch norm by name: encoders by modality and scale, then
-        the decoder stages. This order is the checkpoint's."""
-        table = {}
-        for m, stages in enumerate(self.encoders):
-            for s, p in enumerate(stages):
-                table[f"enc{m}.s{s}.bn"] = p.bn
-        for i, p in enumerate(self.decoder):
-            table[f"dec{i}.conv.bn"] = p.conv.bn
-        return table
-
-    def named_state(self):
-        """Non-trainable state (batch-norm running statistics)."""
+    def records(self):
+        """The checkpoint's records in file order, each a view into the
+        stored arrays: modality m's rows of every encoder block
+        (`enc<m>.s<s>.kernel`, `.bn.scale`, `.bn.shift`, by modality and
+        then scale), the CMC tensors, each gate's rows of the convLSTM
+        stacks (`lstm.W_x<g>`, `lstm.W_h<g>`, `lstm.b_<g>`), the decoder
+        and classifier tensors whole, then every batch norm's
+        `.running_mean` and `.running_var`, encoders first. Views go stale
+        when an array is replaced (an optimizer step), so take a fresh
+        table for each use."""
+        m, widths = self.config.modality_count, self.config.encoder_channels
+        # (name, conv-BN block, rows) of every batch norm
+        enc = [(f"enc{mod}.s{s}", p, slice(mod * c, (mod + 1) * c))
+               for mod in range(m)
+               for s, (p, c) in enumerate(zip(self.encoders, widths))]
+        dec = [(f"dec{i}.conv", p.conv, slice(None))
+               for i, p in enumerate(self.decoder)]
         out = {}
-        for name, bn in self.batchnorms().items():
-            out[f"{name}.running_mean"] = bn.running_mean
-            out[f"{name}.running_var"] = bn.running_var
+
+        def convbn(name, p, rows):
+            out[f"{name}.kernel"] = p.kernel.data[rows]
+            out[f"{name}.bn.scale"] = p.bn.scale.data[rows]
+            out[f"{name}.bn.shift"] = p.bn.shift.data[rows]
+
+        for block in enc:
+            convbn(*block)
+        for s, p in enumerate(self.cmc):
+            out[f"cmc{s}.weights"] = p.weights.data
+            out[f"cmc{s}.bias"] = p.bias.data
+        out.update(self.lstm.gate_records("lstm."))
+        for i, p in enumerate(self.decoder):
+            out[f"dec{i}.up.kernel"] = p.up_kernel.data
+            out[f"dec{i}.up.bias"] = p.up_bias.data
+            convbn(*dec[i])
+        out["cls.kernel"] = self.cls_kernel.data
+        out["cls.bias"] = self.cls_bias.data
+        for name, p, rows in enc + dec:
+            out[f"{name}.bn.running_mean"] = p.bn.running_mean[rows]
+            out[f"{name}.bn.running_var"] = p.bn.running_var[rows]
         return out
 
 
@@ -222,30 +241,26 @@ def he_kernel(rng, shape, dtype):
 def init_params(config, dtype=np.float32):
     """Fresh parameters: He init for plain convolutions, orthogonal
     init for every convLSTM kernel, forget-gate bias 1, CMC weights at
-    the uniform modality average."""
+    the uniform modality average. Each record is drawn whole, in record
+    order (an encoder block per modality, a convLSTM kernel per gate)."""
     rng = np.random.default_rng(config.seed)
     params = ModelParams(config, dtype=dtype)
-    for stages in params.encoders:
-        for p in stages:
-            p.kernel.data = he_kernel(rng, p.kernel.shape, dtype)
-    for g in ConvLstmParams.GATES:
-        for side in ("x", "h"):
-            t = getattr(params.lstm, f"W_{side}{g}")
-            t.data = orthogonal_kernel(rng, t.shape, dtype)
-    params.lstm.b_f.data = np.ones_like(params.lstm.b_f.data)
-    for p in params.decoder:
-        p.up_kernel.data = he_kernel(
-            rng, (p.up_kernel.shape[1],) + (p.up_kernel.shape[0],) + (2, 2), dtype
-        ).transpose(1, 0, 2, 3).copy()
-        p.conv.kernel.data = he_kernel(rng, p.conv.kernel.shape, dtype)
-    params.cls_kernel.data = he_kernel(rng, params.cls_kernel.shape, dtype)
+    for name, view in params.records().items():
+        if name.startswith("lstm.W_"):
+            view[...] = orthogonal_kernel(rng, view.shape, dtype)
+        elif name.endswith(".up.kernel"):
+            cin, cout = view.shape[:2]  # drawn (Cout, Cin, 2, 2), fan-in Cin*4
+            view[...] = he_kernel(rng, (cout, cin, 2, 2),
+                                  dtype).transpose(1, 0, 2, 3)
+        elif name.endswith(".kernel"):
+            view[...] = he_kernel(rng, view.shape, dtype)
+    params.lstm.gate_records()["b_f"][...] = 1.0
     return params
 
 
 def _encode(params, x_seq, mode):
     """The M encoders as one chain over a grouped map, then CMC at every
-    scale; each scale stacks the M encoders' kernels and batch-norm
-    affines once.
+    scale.
 
     x_seq: (T, M, H, W) array, the grouped map of the input. Returns list
     of N_SCALES CMC map tensors, each (T, C_s, H/2^(s+1), W/2^(s+1)).
@@ -260,12 +275,10 @@ def _encode(params, x_seq, mode):
 
     feat = Tensor(x_seq)
     cmc_maps = []
-    for s, stages in enumerate(zip(*params.encoders)):  # [modality] at scale s
-        kernel = ops.concat0([p.kernel for p in stages])
-        bn = StackedBatchNorm([p.bn for p in stages])
-        feat = relu(batchnorm(conv2d(feat, kernel, groups=m), bn, mode))
+    for p, cmc in zip(params.encoders, params.cmc):
+        feat = relu(batchnorm(conv2d(feat, p.kernel, groups=m), p.bn, mode))
         feat = maxpool2x2(feat)
-        cmc_maps.append(cmc_forward(stack_modalities(feat, m), params.cmc[s]))
+        cmc_maps.append(cmc_forward(stack_modalities(feat, m), cmc))
     return cmc_maps
 
 

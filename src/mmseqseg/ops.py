@@ -200,37 +200,8 @@ class BatchNormParams:
             run += (1.0 - self.momentum) * batch.astype(run.dtype)
 
 
-class StackedBatchNorm:
-    """The batch norms of G channel groups as one over their G*C
-    channels, for a grouped map whose group g holds channels g*C ...
-    (g+1)*C - 1. Scale and shift are stacked with concat0 when it is
-    built, so build it once per forward; train-mode statistics go back to
-    each group's own BatchNormParams."""
-
-    epsilon = BatchNormParams.epsilon
-
-    def __init__(self, groups):
-        self.groups = groups
-        self.scale = concat0([p.scale for p in groups])
-        self.shift = concat0([p.shift for p in groups])
-
-    @property
-    def running_mean(self):
-        return np.concatenate([p.running_mean for p in self.groups])
-
-    @property
-    def running_var(self):
-        return np.concatenate([p.running_var for p in self.groups])
-
-    def update(self, mean, var):
-        c = mean.size // len(self.groups)
-        for g, p in enumerate(self.groups):
-            p.update(mean[g * c:(g + 1) * c], var[g * c:(g + 1) * c])
-
-
 def batchnorm(x, params, mode="train"):
-    """Per-channel batch normalization over the N, H, W axes. params is a
-    BatchNormParams or a StackedBatchNorm."""
+    """Per-channel batch normalization over the N, H, W axes."""
     if x.ndim != 4:
         raise ShapeError("batchnorm expects NCHW input")
     n, c, h, w = x.shape
@@ -295,10 +266,10 @@ def relu(x):
 
 
 def expit(z):
-    """Plain-array logistic sigmoid in a form that cannot overflow."""
-    with np.errstate(over="ignore"):
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Plain-array logistic sigmoid in a form that cannot overflow:
+    exp(-|z|) is at most 1."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x):

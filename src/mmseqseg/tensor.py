@@ -99,8 +99,12 @@ class Tensor:
         One backward consumes the graph: each node drops its backward
         closure and its parents once the sweep has passed it, so the
         buffers the closure saved are freed as soon as they are dead.
-        Gradients stay on every tensor that received one. A second
-        backward() through any released node raises RuntimeError.
+        Gradients stay on every tensor that received one. A tensor that
+        already holds a gradient gets the sum of this sweep's
+        contributions added to it in one step, so a batch's gradient is
+        the sum of its samples' gradients however many times each
+        sample's graph uses the tensor. A second backward() through any
+        released node raises RuntimeError.
         """
         if self.size != 1:
             raise ShapeError("backward() requires a scalar tensor")
@@ -120,6 +124,10 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
+        held = [(n, n.grad) for n in topo
+                if n.grad is not None and n is not self]
+        for node, _ in held:
+            node.grad = None
         if seed is None:
             self.grad = np.ones_like(self.data)
         else:
@@ -134,6 +142,8 @@ class Tensor:
             node._backward = None
             node._parents = ()
             node._swept = True
+        for node, g in held:
+            node.grad = g if node.grad is None else g + node.grad
 
 
 def make_node(data, parents, backward, what="op output"):

@@ -40,6 +40,9 @@ class TrainConfig:
         for name in ("phase1_steps", "phase2_steps", "clip_norm"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must not be negative")
+        for name in ("lr_phase1", "lr_phase2"):
+            if not 0 <= getattr(self, name) < float("inf"):  # NaN fails too
+                raise ValueError(f"{name} must be finite and not negative")
         if self.phase2_steps > 0 and self.phase1_steps > 0 \
                 and not self.lr_phase2 < self.lr_phase1:
             raise ValueError("phase-2 learning rate must be below phase 1")

@@ -166,7 +166,8 @@ def test_A4_metric_oracle_equivalence():
 
 
 def test_A5_cmc_selector_exactness():
-    from mmseqseg.ops import batchnorm, conv2d, maxpool2x2, relu
+    from mmseqseg.ops import (BatchNormParams, batchnorm, conv2d, maxpool2x2,
+                              relu)
     config = ModelConfig(seed=0, encoder_channels=(2, 3, 4, 5),
                          input_height=16, input_width=16, sequence_length=2)
     rng = np.random.default_rng(7)
@@ -182,11 +183,20 @@ def test_A5_cmc_selector_exactness():
         masked[:, m] = seq[:, m]
         inter = {}
         forward(params, masked, mode="eval", intermediates=inter)
-        # the equivalent single-encoder path: modality m's encoder alone
+        # the equivalent single-encoder path: modality m's encoder alone,
+        # its kernels and batch norms taken from the checkpoint records
+        records = params.records()
         feat = Tensor(seq[:, m:m + 1])
-        for s, stage in enumerate(params.encoders[m]):
-            feat = maxpool2x2(relu(batchnorm(
-                conv2d(feat, stage.kernel, stage.bias), stage.bn, "eval")))
+        for s in range(4):
+            block = f"enc{m}.s{s}"
+            bn = BatchNormParams(records[f"{block}.bn.scale"].size)
+            for name in ("scale", "shift"):
+                getattr(bn, name).data = records[f"{block}.bn.{name}"]
+            bn.running_mean = records[f"{block}.bn.running_mean"]
+            bn.running_var = records[f"{block}.bn.running_var"]
+            kernel = Tensor(records[f"{block}.kernel"])
+            feat = maxpool2x2(relu(batchnorm(conv2d(feat, kernel), bn,
+                                             "eval")))
             if not np.array_equal(inter["cmc"][s], feat.data):
                 exact = False
     verdict("A5 cmc-selector-exactness", exact,
@@ -240,10 +250,8 @@ def test_A8_convlstm_identities():
     rng = np.random.default_rng(5)
     params = ConvLstmParams(in_channels=3, hidden_channels=4, kernel_size=3,
                             dtype=np.float64)
-    for g in ConvLstmParams.GATES:   # random kernels, biases stay zero
-        for side in ("x", "h"):
-            t = getattr(params, f"W_{side}{g}")
-            t.data = rng.standard_normal(t.shape)
+    for t in (params.wx, params.wh):   # random kernels, biases stay zero
+        t.data = rng.standard_normal(t.shape)
     state = ConvLstmState.zeros(1, 4, 8, 8, dtype=np.float64)
     x = Tensor(np.zeros((1, 3, 8, 8)))
     h, nxt = convlstm_step(x, state, params)

@@ -148,6 +148,10 @@ class TestTrain:
         "phase1_steps = -1",
         "phase2_steps = -1",
         "clip_norm = -1",
+        "lr_phase1 = -0.1\nlr_phase2 = -1.0",
+        "lr_phase1 = nan\nphase2_steps = 0",
+        "lr_phase1 = inf",
+        "lr_phase2 = -1e-7",
     ])
     def test_bad_config_value(self, tiny_data, tmp_path, line, capsys):
         cfg = tmp_path / "run.cfg"

@@ -7,7 +7,7 @@ from mmseqseg import convlstm, ops
 from mmseqseg.convlstm import (ConvLstmParams, ConvLstmState, convlstm_sequence,
                                convlstm_step)
 from mmseqseg.gradsuite import check_convlstm_sequence, check_convlstm_step
-from mmseqseg.tensor import ShapeError, Tensor
+from mmseqseg.tensor import ShapeError, Tensor, make_node
 
 
 def make_params(rng, cx=2, ch=2, k=3, scale=0.3):
@@ -31,7 +31,7 @@ class TestStep:
 
     def test_saturated_forget_gate_holds_memory(self):
         p = ConvLstmParams(1, 1, 3, dtype=np.float64)
-        p.b_f.data = np.array([30.0])  # forget gate ~ 1
+        p.gate_records()["b_f"][...] = 30.0  # forget gate ~ 1
         c_prev = np.random.default_rng(0).standard_normal((1, 1, 4, 4))
         state = ConvLstmState(Tensor(np.zeros((1, 1, 4, 4))), Tensor(c_prev))
         _, nxt = convlstm_step(Tensor(np.zeros((1, 1, 4, 4))), state, p)
@@ -42,9 +42,9 @@ class TestStep:
         # hand-evaluated scalar LSTM over 5 steps
         rng = np.random.default_rng(1)
         p = ConvLstmParams(1, 1, 1, dtype=np.float64)
-        w = {n: rng.standard_normal() for n in p.named_tensors()}
-        for n, t in p.named_tensors().items():
-            t.data = np.full(t.shape, w[n])
+        w = {n: rng.standard_normal() for n in p.gate_records()}
+        for n, view in p.gate_records().items():
+            view[...] = w[n]
         xs = rng.standard_normal(5)
 
         def sig(v):
@@ -126,13 +126,27 @@ class TestSequence:
         assert report.passed, report.max_rel_error
 
 
+def gate_rows(stack, g):
+    """Gate g's rows of a gate-stacked tensor, as a node that routes its
+    gradient back into the stack."""
+    ch = stack.shape[0] // 4
+    lo = ConvLstmParams.GATES.index(g) * ch
+
+    def backward(grad):
+        full = np.zeros(stack.shape)
+        full[lo:lo + ch] = grad
+        stack._accumulate(full)
+
+    return make_node(stack.data[lo:lo + ch], (stack,), backward)
+
+
 def reference_step(x_t, state, p):
-    """The per-gate cell, kept as an oracle: eight convolutions and a
-    separate node for every activation, sum and product."""
+    """The per-gate cell, kept as an oracle: eight convolutions on gate
+    slices and a separate node for every activation, sum and product."""
     def gate(g, act):
         return act(ops.add(
-            ops.conv2d(x_t, getattr(p, f"W_x{g}"), getattr(p, f"b_{g}")),
-            ops.conv2d(state.h, getattr(p, f"W_h{g}"), None)))
+            ops.conv2d(x_t, gate_rows(p.wx, g), gate_rows(p.b, g)),
+            ops.conv2d(state.h, gate_rows(p.wh, g), None)))
 
     i_t, f_t = gate("i", ops.sigmoid), gate("f", ops.sigmoid)
     g_t, o_t = gate("c", ops.tanh), gate("o", ops.sigmoid)
@@ -203,7 +217,7 @@ class TestStackedCell:
         vals, grads = values_and_grads(convlstm_sequence(xs, p), tensors, 22)
         ref_vals, ref_grads = values_and_grads(reference_sequence(xs, p),
                                                tensors, 22)
-        assert len(grads) == 15 and all(g is not None for g in grads)
+        assert len(grads) == 6 and all(g is not None for g in grads)
         for a, b in zip(vals + grads, ref_vals + ref_grads):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 

@@ -119,16 +119,15 @@ class TestCheckpointFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         params = self.make()
         # dirty the BN state so the roundtrip covers it
-        params.encoders[0][0].bn.running_mean += 0.5
+        params.records()["enc1.s0.bn.running_mean"][...] += 0.5
         path = tmp_path / "m.mmck"
         save_checkpoint(path, params)
         loaded, config = load_checkpoint(path)
         assert config == params.config
-        for name, t in params.named_tensors().items():
-            np.testing.assert_array_equal(loaded.named_tensors()[name].data,
-                                          t.data)
-        for name, arr in params.named_state().items():
-            np.testing.assert_array_equal(loaded.named_state()[name], arr)
+        records = loaded.records()
+        assert list(records) == list(params.records())
+        for name, arr in params.records().items():
+            np.testing.assert_array_equal(records[name], arr)
 
     def test_forward_identical_after_reload(self, tmp_path):
         params = self.make(seed=7)
@@ -197,8 +196,7 @@ class TestCheckpointFormat:
     ])
     def test_parameter_count_matches_model(self, config):
         params = ModelParams(ModelConfig(**config))
-        held = [t.data for t in params.named_tensors().values()]
-        held += params.named_state().values()
+        held = params.records().values()
         assert parameter_count(params.config) == sum(a.size for a in held)
 
     @pytest.mark.parametrize("key, value", [
@@ -254,25 +252,26 @@ class TestCheckpointFormat:
     def test_old_layout_bias_folds_into_running_mean(self, tmp_path):
         params = self.make(seed=4)
         rng = np.random.default_rng(4)
-        for bn in params.batchnorms().values():
-            bn.running_mean = rng.standard_normal(
-                bn.running_mean.shape).astype(np.float32)
+        means = {name: view for name, view in params.records().items()
+                 if name.endswith(".bn.running_mean")}
+        for view in means.values():
+            view[...] = rng.standard_normal(view.shape)
         # a file as written while conv-BN blocks had a conv bias: one
         # nonzero `<block>.bias` record per block
         path = tmp_path / "old.mmck"
         save_checkpoint(path, params)
-        biases = {name.removesuffix("bn") + "bias":
-                  rng.standard_normal(bn.running_mean.shape).astype(np.float32)
-                  for name, bn in params.batchnorms().items()}
+        biases = {name.removesuffix("bn.running_mean") + "bias":
+                  rng.standard_normal(view.shape).astype(np.float32)
+                  for name, view in means.items()}
         assert len(biases) == 20
         path.write_bytes(path.read_bytes() + b"".join(
             self.record(name.encode(), b) for name, b in biases.items()))
         loaded, _ = load_checkpoint(path)
-        for name, bn in loaded.batchnorms().items():
-            block = name.removesuffix("bn")
-            np.testing.assert_array_equal(
-                bn.running_mean,
-                params.batchnorms()[name].running_mean - biases[block + "bias"])
+        records = loaded.records()
+        for name, view in means.items():
+            block = name.removesuffix("bn.running_mean")
+            np.testing.assert_array_equal(records[name],
+                                          view - biases[block + "bias"])
         vol = rng.standard_normal((4, 3, 16, 16)).astype(np.float32)
         assert predict_volume(loaded, vol, 2).shape == (3, 16, 16)
 
@@ -291,6 +290,79 @@ class TestCheckpointFormat:
                          + self.record(b"enc4.s0.bias", np.zeros(2)))
         with pytest.raises(FormatError, match="enc4.s0.bias"):
             load_checkpoint(path)
+
+    @staticmethod
+    def record_shapes(config):
+        """Every checkpoint record's (name, shape) in file order, built
+        from the documented naming rule: each modality's encoder block
+        per scale, the CMC tensors, each convLSTM gate's kernels and
+        bias, the decoder stages and the classifier, then the running
+        statistics of every batch norm, encoders first."""
+        widths, m = config.encoder_channels, config.modality_count
+        ch, k = widths[-1], config.convlstm_kernel
+        enc = [(f"enc{mod}.s{s}", c, cin) for mod in range(m)
+               for s, (cin, c) in enumerate(zip((1,) + widths[:-1], widths))]
+        dec = [(f"dec{i}.conv", cout, cout) for i, cout in
+               enumerate(widths[-2::-1] + widths[:1])]
+
+        def convbn(name, c, cin):
+            return [(f"{name}.kernel", (c, cin, 3, 3)),
+                    (f"{name}.bn.scale", (c,)), (f"{name}.bn.shift", (c,))]
+
+        out = [r for block in enc for r in convbn(*block)]
+        for s, c in enumerate(widths):
+            out += [(f"cmc{s}.weights", (c, m)), (f"cmc{s}.bias", (c,))]
+        for g in "ifco":
+            out += [(f"lstm.W_x{g}", (ch, ch, k, k)),
+                    (f"lstm.W_h{g}", (ch, ch, k, k)), (f"lstm.b_{g}", (ch,))]
+        for i, ((name, cout, _), cin) in enumerate(zip(dec, widths[::-1])):
+            out += [(f"dec{i}.up.kernel", (cin, cout, 2, 2)),
+                    (f"dec{i}.up.bias", (cout,))] + convbn(name, cout, cout)
+        out += [("cls.kernel", (config.class_count, widths[0], 1, 1)),
+                ("cls.bias", (config.class_count,))]
+        for name, c, _ in enc + dec:
+            out += [(f"{name}.bn.running_mean", (c,)),
+                    (f"{name}.bn.running_var", (c,))]
+        return out
+
+    def test_records_land_in_their_modality_and_gate_slices(self, tmp_path):
+        # record j holds the constant j: loading puts it in modality m's
+        # rows of the grouped encoder block or gate g's rows of the
+        # convLSTM stacks, and saving gives the same bytes back
+        config = self.make().config
+        shapes = self.record_shapes(config)
+        assert len(shapes) == 130
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, self.make())
+        _, start = checkpoint_config(path.read_bytes())
+        data = path.read_bytes()[:start] + b"".join(
+            self.record(name.encode(), np.full(shape, j))
+            for j, (name, shape) in enumerate(shapes))
+        path.write_bytes(data)
+        params, _ = load_checkpoint(path)
+        value = {name: j for j, (name, _) in enumerate(shapes)}
+        for s, (p, c) in enumerate(zip(params.encoders,
+                                       config.encoder_channels)):
+            for mod in range(config.modality_count):
+                rows = slice(mod * c, (mod + 1) * c)
+                pre = f"enc{mod}.s{s}"
+                assert np.all(p.kernel.data[rows] == value[pre + ".kernel"])
+                for field in ("scale", "shift"):
+                    assert np.all(getattr(p.bn, field).data[rows]
+                                  == value[f"{pre}.bn.{field}"])
+                for field in ("running_mean", "running_var"):
+                    assert np.all(getattr(p.bn, field)[rows]
+                                  == value[f"{pre}.bn.{field}"])
+        ch = config.encoder_channels[-1]
+        for i, g in enumerate("ifco"):
+            rows = slice(i * ch, (i + 1) * ch)
+            assert np.all(params.lstm.wx.data[rows] == value[f"lstm.W_x{g}"])
+            assert np.all(params.lstm.wh.data[rows] == value[f"lstm.W_h{g}"])
+            assert np.all(params.lstm.b.data[rows] == value[f"lstm.b_{g}"])
+        assert np.all(params.cls_kernel.data == value["cls.kernel"])
+        again = tmp_path / "again.mmck"
+        save_checkpoint(again, params)
+        assert again.read_bytes() == data
 
     def test_invalid_utf8_tensor_name_is_format_error(self, tmp_path):
         path = tmp_path / "m.mmck"

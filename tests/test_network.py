@@ -20,11 +20,11 @@ TINY = dict(encoder_channels=(2, 3, 4, 5), input_height=16, input_width=16,
 class TestInit:
     def test_convlstm_kernels_orthogonal(self):
         params = init_params(ModelConfig(seed=3), dtype=np.float64)
-        for name, t in params.lstm.named_tensors().items():
+        for name, w in params.lstm.gate_records().items():
             if not name.startswith("W_"):
                 continue
-            k = t.data.reshape(t.shape[0], -1)
-            np.testing.assert_allclose(k @ k.T, np.eye(t.shape[0]), atol=1e-5)
+            k = w.reshape(w.shape[0], -1)
+            np.testing.assert_allclose(k @ k.T, np.eye(w.shape[0]), atol=1e-5)
 
     def test_same_seed_bit_identical(self):
         a = init_params(ModelConfig(seed=11))
@@ -37,37 +37,41 @@ class TestInit:
     def test_different_seed_differs(self):
         a = init_params(ModelConfig(seed=1))
         b = init_params(ModelConfig(seed=2))
-        assert not np.array_equal(a.encoders[0][0].kernel.data,
-                                  b.encoders[0][0].kernel.data)
+        assert not np.array_equal(a.encoders[0].kernel.data,
+                                  b.encoders[0].kernel.data)
 
     def test_forget_bias_one_others_zero(self):
-        p = init_params(ModelConfig(seed=0))
-        np.testing.assert_array_equal(p.lstm.b_f.data, 1.0)
-        np.testing.assert_array_equal(p.lstm.b_i.data, 0.0)
-        np.testing.assert_array_equal(p.lstm.b_c.data, 0.0)
-        np.testing.assert_array_equal(p.lstm.b_o.data, 0.0)
+        gates = init_params(ModelConfig(seed=0)).lstm.gate_records()
+        np.testing.assert_array_equal(gates["b_f"], 1.0)
+        np.testing.assert_array_equal(gates["b_i"], 0.0)
+        np.testing.assert_array_equal(gates["b_c"], 0.0)
+        np.testing.assert_array_equal(gates["b_o"], 0.0)
 
     def test_fan_in_variance(self):
         # deepest encoder kernel has 32*3*3 fan-in and 64*32*9 samples
         p = init_params(ModelConfig(seed=5))
-        k = p.encoders[0][3].kernel.data
+        k = p.records()["enc0.s3.kernel"]
         fan_in = k.shape[1] * 9
         assert k.size >= 10000
         assert abs(k.var() - 2.0 / fan_in) < 0.2 * (2.0 / fan_in)
 
     def test_conv_bn_blocks_carry_no_bias(self):
-        # 16 encoder and 4 decoder conv-BN blocks of 3 tensors, 4 CMC of 2,
-        # 12 convLSTM, 4 up-convs of 2 and the classifier's 2
+        # 4 grouped encoder and 4 decoder conv-BN blocks of 3 tensors, 4
+        # CMC of 2, 3 convLSTM stacks, 4 up-convs of 2 and the
+        # classifier's 2
         p = init_params(ModelConfig(seed=0))
-        names = p.named_tensors()
-        assert len(names) == 90
-        assert len(names) + len(p.named_state()) == 130  # checkpoint records
-        blocks = [s for stages in p.encoders for s in stages] \
-            + [d.conv for d in p.decoder]
-        assert all(b.bias is None for b in blocks)
-        assert len(p.batchnorms()) == 20
-        assert not any(bn.removesuffix("bn") + "bias" in names
-                       for bn in p.batchnorms())
+        assert len(p.named_tensors()) == 45
+        blocks = p.encoders + [d.conv for d in p.decoder]
+        assert not any(hasattr(b, "bias") for b in blocks)
+        # the checkpoint keeps 16 encoder blocks, one per modality and
+        # scale, and 12 convLSTM gate tensors: 90 trainable records and
+        # the running mean and variance of 20 batch norms
+        records = p.records()
+        assert len(records) == 130
+        means = [n for n in records if n.endswith(".bn.running_mean")]
+        assert len(means) == 20
+        assert not any(n.removesuffix("bn.running_mean") + "bias" in records
+                       for n in means)
 
     def test_orthogonal_kernel_rejects_fat_rows(self):
         rng = np.random.default_rng(0)
@@ -121,12 +125,13 @@ class TestForward:
 
         perm = [2, 0, 3, 1]
         permuted = init_params(config)
-        for name, t in permuted.named_tensors().items():
-            t.data = params.named_tensors()[name].data.copy()
-        permuted.encoders = [params.encoders[m] for m in perm]
-        for s, cmc in enumerate(permuted.cmc):
-            cmc.weights.data = params.cmc[s].weights.data[:, np.argsort(perm)][
-                :, :]
+        # encoder block j of the permuted model is block perm[j] of params
+        source = params.records()
+        for name, view in permuted.records().items():
+            if name.startswith("enc"):
+                m, rest = name.removeprefix("enc").split(".", 1)
+                name = f"enc{perm[int(m)]}.{rest}"
+            view[...] = source[name]
         # column j of the permuted weights must address modality perm[j]
         for s, cmc in enumerate(permuted.cmc):
             w = np.empty_like(params.cmc[s].weights.data)
@@ -180,13 +185,12 @@ class TestGraph:
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         nodes = _graph(forward_logits(params, seq.astype(np.float32)))
-        # 67 op outputs and 90 parameters, whatever the kernel layouts: per
-        # scale the grouped encoder makes 3 stacks (kernel, scale, shift),
-        # conv, batchnorm, relu, maxpool, the modality stack and CMC (36);
-        # at T=2 the convLSTM makes 3 gate stacks, 2 convs and 4 cell nodes,
-        # joined by one concat0 (10); the decoder makes 5 per stage (20)
-        # and the classifier 1
-        assert len(nodes) == 157
+        # 52 op outputs and 45 parameters, whatever the kernel layouts: per
+        # scale the grouped encoder makes conv, batchnorm, relu, maxpool,
+        # the modality stack and CMC (24); at T=2 the convLSTM makes 2
+        # convs and 4 cell nodes, joined by one concat0 (7); the decoder
+        # makes 5 per stage (20) and the classifier 1
+        assert len(nodes) == 97
         assert all(n.data.flags.c_contiguous for n in nodes)
 
     def test_accumulate_keeps_stored_gradient(self):
@@ -234,7 +238,7 @@ class TestGraphFree:
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         with no_grad():
             logits = forward_logits(params, seq.astype(np.float32), "eval")
-        assert len(made) == 67  # every op output of the graph-built pass
+        assert len(made) == 52  # every op output of the graph-built pass
         assert _graph(logits) == [logits]
         assert all(n._backward is None and n._parents == () and
                    not n.requires_grad for n in made)
@@ -268,7 +272,7 @@ class TestGraphFree:
                                       np.ones(5, dtype=np.float32))
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
-        assert len(interior) == 68  # 67 op outputs and the loss
+        assert len(interior) == 53  # 52 op outputs and the loss
         loss.backward()
         assert all(n._backward is None and n._parents == () for n in interior)
         assert all(p.grad is not None for p in params.named_tensors().values())

@@ -398,34 +398,11 @@ class TestBatchNorm:
         folded = ops.batchnorm(ops.conv2d(x, k), bn, "eval").data
         np.testing.assert_allclose(folded, with_bias, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_stacked_matches_per_group_bit_for_bit(self, dtype):
-        # one batchnorm over 4 groups of 3 channels against 4 batch norms,
-        # over two train steps and one eval pass
-        rng = np.random.default_rng(22)
-        groups = [BatchNormParams(3, dtype=dtype) for _ in range(4)]
-        for p in groups:
-            p.scale.data = rng.standard_normal(3).astype(dtype)
-            p.shift.data = rng.standard_normal(3).astype(dtype)
-        alone = [BatchNormParams(3, dtype=dtype) for _ in range(4)]
-        for a, p in zip(alone, groups):
-            a.scale.data, a.shift.data = p.scale.data.copy(), p.shift.data.copy()
-        for mode in ("train", "train", "eval"):
-            x = (rng.standard_normal((3, 12, 6, 4)) * 2 + 1).astype(dtype)
-            out = ops.batchnorm(Tensor(x), ops.StackedBatchNorm(groups), mode)
-            for g, a in enumerate(alone):
-                ref = ops.batchnorm(Tensor(x[:, 3 * g:3 * g + 3]), a, mode)
-                np.testing.assert_array_equal(out.data[:, 3 * g:3 * g + 3],
-                                              ref.data)
-            for a, p in zip(alone, groups):
-                np.testing.assert_array_equal(p.running_mean, a.running_mean)
-                np.testing.assert_array_equal(p.running_var, a.running_var)
-
     def test_running_stats_update_in_place(self):
         bn = BatchNormParams(2, dtype=np.float64)
         mean, var = bn.running_mean, bn.running_var
-        ops.batchnorm(Tensor(np.arange(16.0).reshape(2, 2, 2, 2)),
-                      ops.StackedBatchNorm([bn]), "train")
+        ops.batchnorm(Tensor(np.arange(16.0).reshape(2, 2, 2, 2)), bn,
+                      "train")
         assert bn.running_mean is mean and bn.running_var is var
         np.testing.assert_allclose(mean, 0.1 * np.array([5.5, 9.5]))
 
@@ -474,6 +451,24 @@ class TestActivations:
         assert np.all((s > 0) & (s < 1))
         assert np.all((t > -1) & (t < 1))
         assert np.all(ops.relu(x).data >= 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_expit_matches_two_branch_form_bit_for_bit(self, dtype):
+        # the two-branch form expit had before, kept as the oracle
+        def two_branch(z):
+            with np.errstate(over="ignore"):
+                e = np.exp(-np.abs(z))
+                return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+        info = np.finfo(dtype)
+        edges = [0.0, info.smallest_subnormal, info.tiny, 1e-8, 0.5, 1.0,
+                 17.0, 88.7, 745.0, info.max, np.inf]
+        z = np.array(edges + [-v for v in edges], dtype=dtype)
+        z = np.concatenate([z, (np.random.default_rng(10).standard_normal(
+            1000) * 30).astype(dtype)])
+        out = ops.expit(z)
+        assert out.dtype == dtype
+        assert out.tobytes() == two_branch(z).tobytes()
 
     @pytest.mark.parametrize("fn", [ops.sigmoid, ops.tanh])
     def test_gradients_match_fd(self, fn):

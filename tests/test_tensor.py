@@ -76,3 +76,16 @@ class TestBackwardReleasesGraph:
         with pytest.raises(RuntimeError, match="already ran"):
             b.backward()
         np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+
+class TestGradientAccumulation:
+    def test_sweep_sums_its_contributions_before_a_held_gradient(self):
+        # x holds 1e8 from a first sweep; a second uses x twice, with
+        # contributions 3 and 3. In float32, (1e8 + 3) + 3 rounds to 1e8
+        # but 1e8 + (3 + 3) to 1e8 + 8: the sweep's sum joins in one step
+        x = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        ops.project(x, np.full(1, 1e8)).backward()
+        c = np.full(1, 3.0)
+        ops.add(ops.project(x, c), ops.project(x, c)).backward()
+        assert x.grad.dtype == np.float32
+        assert x.grad[0] == np.float32(1e8) + np.float32(6.0) == 1e8 + 8

@@ -248,12 +248,15 @@ class TestTwoPhase:
                              phase2_steps=0, seed=0)
         params = init_params(ModelConfig(seed=0, **TINY_MODEL))
         run_two_phase(config, params, ds)
-        before = {k: v.copy() for k, v in params.named_state().items()}
+        before = {k: v.copy() for k, v in params.records().items()
+                  if ".running_" in k}
+        assert len(before) == 40
         config2 = TrainConfig(batch_size=1, sequence_length=2, phase1_steps=0,
                               phase2_steps=3, seed=1)
         run_two_phase(config2, params, ds)
-        for k, v in params.named_state().items():
-            np.testing.assert_array_equal(v, before[k])
+        after = params.records()
+        for k, v in before.items():
+            np.testing.assert_array_equal(after[k], v)
 
     def test_lr_ordering_enforced(self):
         with pytest.raises(ValueError):
