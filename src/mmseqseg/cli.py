@@ -81,7 +81,8 @@ def write_text(path, text):
 
 def load_cases(data_dir):
     """Reads case_<i>_img.mmv / case_<i>_lbl.mmv pairs, sorted by index;
-    each image comes back normalized."""
+    each image comes back normalized. An image and its labels must
+    share (D, H, W)."""
     cases = []
     names = sorted(n for n in os.listdir(data_dir) if n.endswith("_img.mmv"))
     if not names:
@@ -94,6 +95,10 @@ def load_cases(data_dir):
         lbl, kind = read_volume(os.path.join(data_dir, lbl_name))
         if kind != "label":
             raise FormatError(f"{lbl_name} is not a label volume")
+        if img.shape[1:] != lbl.shape:
+            raise FormatError(
+                f"{name} has (D, H, W) {img.shape[1:]} but {lbl_name} has "
+                f"{lbl.shape}")
         cases.append((normalize_volume(img), lbl))
     return cases
 
@@ -107,6 +112,8 @@ def cmd_gen(args):
         raise ConfigError(f"--dims must be D,H,W, each at least {MIN_EXTENT}")
     if args.count < 1:
         raise ConfigError("--count must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must not be negative")
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         volume, labels = gen_synthetic_case(args.seed + i, dims)
@@ -166,11 +173,6 @@ def cmd_predict(args):
     volume, kind = read_volume(args.volume)
     if kind != "modal":
         raise FormatError(f"{args.volume} is not a modal volume")
-    _, _, h, w = volume.shape
-    if h % 16 or w % 16:
-        print(f"error: spatial extents {h}x{w} not divisible by 16; "
-              "pad or crop the volume first", file=sys.stderr)
-        return EXIT_DATA
     labels = predict_volume(params, normalize_volume(volume),
                             config.sequence_length)
     atomic_write(args.out, lambda p: write_volume(p, labels, "label"))
@@ -179,6 +181,8 @@ def cmd_predict(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise ConfigError("--seed must not be negative")
     t0 = time.time()
     results = run_suite(seeds=tuple(range(args.seed, args.seed + 3)),
                         tol=args.tol)

@@ -6,10 +6,13 @@ spatial extents; weights are shared across all timesteps.
 The parameters are stored gate-stacked along the output-channel axis in
 i, f, c, o order: one (4*Ch, Cx, k, k) input kernel, one (4*Ch, Ch, k,
 k) recurrent kernel and one (4*Ch,) bias (the form of Shi et al. 2015).
+A sequence is one (T, Cx, h, w) tensor, the T steps of a single
+sequence, and its output is the (T, Ch, h, w) tensor of h_1 ... h_T.
 The input convolution does not depend on the recurrence, so a sequence
 runs it once over all T inputs; each step then adds one recurrent
 convolution of h_{t-1} (none at t=0, where h is zero) and two cell
-nodes, c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t).
+nodes, c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t). One concat0 joins
+the T hidden maps.
 """
 
 import numpy as np
@@ -126,28 +129,22 @@ def convlstm_step(x_t, state, params):
     return h_t, ConvLstmState(h_t, c_t)
 
 
-def convlstm_sequence(xs, params):
-    """Unroll with shared weights from a zero state; returns all h_t.
+def convlstm_sequence(x, params):
+    """Unroll one sequence with shared weights from a zero state.
 
-    xs is a list of T (N, Cx, h, w) inputs, or one (T, Cx, h, w) tensor
-    holding the T steps of a single sequence (N = 1).
+    x is one (T, Cx, h, w) tensor whose row t is step t's input.
+    Returns the (T, Ch, h, w) tensor of h_1 ... h_T.
     """
-    t_len = xs.shape[0] if isinstance(xs, Tensor) else len(xs)
-    if t_len == 0:
-        raise ShapeError("convlstm_sequence needs at least one input")
-    if isinstance(xs, Tensor):
-        x = xs
-    elif any(x_t.shape != xs[0].shape for x_t in xs):
-        raise ShapeError("convlstm_sequence inputs must share one shape")
-    else:
-        x = concat0(list(xs))  # time-major: step t is rows t*N:(t+1)*N
-    n = x.shape[0] // t_len
+    if x.ndim != 4 or x.shape[0] == 0:
+        raise ShapeError(
+            f"convlstm_sequence needs one (T, C, h, w) input with T >= 1, "
+            f"got shape {x.shape}")
     zx = conv2d(x, params.wx, params.b)  # every step's input projection
-    c = Tensor(np.zeros((n, params.hidden_channels) + x.shape[2:],
+    c = Tensor(np.zeros((1, params.hidden_channels) + x.shape[2:],
                         dtype=x.dtype))
-    hs_out = []
-    for t in range(t_len):
-        zh = conv2d(hs_out[-1], params.wh, None) if hs_out else None
-        h_t, c = _cell(zx, t * n, zh, c)
-        hs_out.append(h_t)
-    return hs_out
+    hs = []
+    for t in range(x.shape[0]):
+        zh = conv2d(hs[-1], params.wh, None) if hs else None
+        h_t, c = _cell(zx, t, zh, c)
+        hs.append(h_t)
+    return concat0(hs)

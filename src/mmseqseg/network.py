@@ -52,6 +52,8 @@ class ModelConfig:
         for name in ("modality_count", "class_count", "sequence_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if self.class_count > 256:
             raise ValueError("class_count must be at most 256: labels are "
                              "stored as u8")
@@ -289,7 +291,7 @@ def forward_logits(params, x_seq, mode="train", intermediates=None):
         intermediates["cmc"] = [c.data for c in cmc_maps]
 
     # the deepest CMC map (T, C, h, w) is the T steps of one sequence
-    d = ops.concat0(convlstm_sequence(cmc_maps[-1], params.lstm))
+    d = convlstm_sequence(cmc_maps[-1], params.lstm)
 
     for stage, s in zip(params.decoder, range(N_SCALES - 1, -1, -1)):
         d = mrf_fuse(cmc_maps[s], d)
@@ -299,17 +301,14 @@ def forward_logits(params, x_seq, mode="train", intermediates=None):
 
 
 def forward(params, sequence, mode="eval", intermediates=None):
-    """Probability maps for a sequence of modal slice stacks.
-
-    sequence: list of T (M,H,W) arrays or one (T,M,H,W) array.
-    Returns a list of T (K,H,W) probability arrays. Builds no autograd
-    graph, so each op's saved buffers die as soon as the op returns.
+    """Probability maps for one (T, M, H, W) sequence of modal slice
+    stacks: a (T, K, H, W) array. Builds no autograd graph, so each op's
+    saved buffers die as soon as the op returns.
     """
-    x_seq = np.asarray(sequence)
     with no_grad():
-        logits = forward_logits(params, x_seq, mode, intermediates)
-    probs = ops.softmax(logits.data, axis=1)
-    return [probs[i] for i in range(probs.shape[0])]
+        logits = forward_logits(params, np.asarray(sequence), mode,
+                                intermediates)
+    return ops.softmax(logits.data)
 
 
 def predict_volume(params, volume, seq_len):
@@ -329,7 +328,5 @@ def predict_volume(params, volume, seq_len):
     out = np.empty((d, h, w), dtype=np.uint8)
     for start in range(0, d, seq_len):
         x_seq = volume[:, start:start + seq_len].transpose(1, 0, 2, 3)
-        probs = forward(params, x_seq, mode="eval")
-        for j, p in enumerate(probs):
-            out[start + j] = p.argmax(axis=0)
+        out[start:start + seq_len] = forward(params, x_seq).argmax(axis=1)
     return out

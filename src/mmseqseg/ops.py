@@ -109,7 +109,7 @@ def conv2d(x, kernel, bias=None, groups=1):
                      "conv2d output")
 
 
-def conv_transpose2d(x, kernel, bias=None):
+def conv_transpose2d(x, kernel, bias):
     """Stride-2 transposed convolution with a 2x2 kernel (Cin, Cout, 2, 2).
 
     Windows are disjoint, so output extents are exactly doubled. The
@@ -134,8 +134,7 @@ def conv_transpose2d(x, kernel, bias=None):
     taps = (w_mat @ pixels).reshape(n, cout, 2, 2, h, w)
     out = np.ascontiguousarray(taps.transpose(0, 1, 4, 2, 5, 3)).reshape(
         n, cout, 2 * h, 2 * w)
-    if bias is not None:
-        out += bias.data[None, :, None, None]
+    out += bias.data[None, :, None, None]
 
     def backward(g):
         g_taps = np.ascontiguousarray(g.reshape(n, cout, h, 2, w, 2).transpose(
@@ -145,11 +144,10 @@ def conv_transpose2d(x, kernel, bias=None):
         if kernel.requires_grad:
             dk = (pixels @ g_taps.transpose(0, 2, 1)).sum(axis=0)
             kernel._accumulate(dk.reshape(kernel.shape))
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return make_node(out, parents, backward, "conv_transpose2d output")
+    return make_node(out, (x, kernel, bias), backward, "conv_transpose2d output")
 
 
 def maxpool2x2(x):
@@ -367,11 +365,12 @@ def project(x, coeffs):
                      (x,), backward, "project output")
 
 
-def softmax(logits_data, axis=1):
-    """Plain-array softmax used for reporting probabilities."""
-    z = logits_data - logits_data.max(axis=axis, keepdims=True)
+def softmax(logits_data):
+    """Plain-array softmax over the class axis of (N, K, H, W) logits,
+    used for reporting probabilities."""
+    z = logits_data - logits_data.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_ce_loss(logits, labels, class_weights):
@@ -396,7 +395,7 @@ def softmax_ce_loss(logits, labels, class_weights):
     if np.any(wts < 0):
         raise ShapeError("class_weights must be nonnegative")
 
-    probs = softmax(logits.data, axis=1)
+    probs = softmax(logits.data)
     npix = n * h * w
     ni, hi, wi = np.ogrid[:n, :h, :w]
     p_true = probs[ni, labels, hi, wi]

@@ -37,7 +37,7 @@ class TrainConfig:
         for name in ("batch_size", "sequence_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("phase1_steps", "phase2_steps", "clip_norm"):
+        for name in ("phase1_steps", "phase2_steps", "clip_norm", "seed"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must not be negative")
         for name in ("lr_phase1", "lr_phase2"):

@@ -138,6 +138,7 @@ class TestTrain:
         "encoder_channels = a,b,c,d",
         "input_height = 20",
         "seed = x",
+        "seed = -3",
         "batch_size = 0",
         "modality_count = 0",
         "class_count = 0",
@@ -165,6 +166,17 @@ class TestTrain:
         assert run("train", "--data", str(tiny_data), "--out",
                    str(tmp_path / "out"), "--phase1-steps", "-1") == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["gen", "train", "gradcheck"])
+    def test_negative_seed_flag_is_usage_error(self, tiny_data, tmp_path,
+                                               command, capsys):
+        out = tmp_path / "out"
+        argv = {"gen": ["--out", str(out), "--dims", "16,16,16"],
+                "train": ["--data", str(tiny_data), "--out", str(out)],
+                "gradcheck": []}[command]
+        assert run(command, *argv, "--seed", "-1") == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resolved_config_reproduces_itself(self, tiny_data, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG)
@@ -177,6 +189,38 @@ class TestTrain:
         assert (second / "config.resolved").read_bytes() == \
             resolved.read_bytes()
         assert len(resolved.read_text().splitlines()) == 14
+
+
+def mismatched_case(tmp_path, lbl_dims):
+    """A data directory of one 16x16x16 image and labels of lbl_dims."""
+    data = tmp_path / "mismatched"
+    data.mkdir()
+    write_volume(data / "case_0_img.mmv",
+                 np.zeros((4, 16, 16, 16), dtype=np.float32), "modal")
+    write_volume(data / "case_0_lbl.mmv", np.zeros(lbl_dims, dtype=np.uint8),
+                 "label")
+    return data
+
+
+LBL_MISMATCHES = [(10, 16, 16), (20, 16, 16), (16, 32, 16), (16, 16, 32)]
+
+
+class TestImageLabelAgreement:
+    @pytest.mark.parametrize("lbl_dims", LBL_MISMATCHES)
+    def test_train_rejects_mismatch(self, tmp_path, lbl_dims, capsys):
+        out = tmp_path / "out"
+        assert run("train", "--data", str(mismatched_case(tmp_path, lbl_dims)),
+                   "--out", str(out)) == EXIT_DATA
+        assert "case_0_lbl.mmv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lbl_dims", LBL_MISMATCHES)
+    def test_eval_rejects_mismatch(self, tmp_path, lbl_dims, capsys):
+        report = tmp_path / "report.txt"
+        assert run("eval", "--data", str(mismatched_case(tmp_path, lbl_dims)),
+                   "--report", str(report), "--use-truth") == EXIT_DATA
+        assert "case_0_lbl.mmv" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestEval:
@@ -261,12 +305,15 @@ class TestPredict:
                    "--out", str(out)) == EXIT_OK
         assert read_volume(out)[0].shape == (16, 16, 16)
 
-    def test_indivisible_extent_rejected(self, ckpt, tmp_path):
+    def test_indivisible_extent_rejected(self, ckpt, tmp_path, capsys):
+        # reported by the model's own extent check
         vol = np.zeros((4, 4, 20, 20), dtype=np.float32)
         path = tmp_path / "v.mmv"
         write_volume(path, vol, "modal")
         assert run("predict", "--model", str(ckpt), "--volume", str(path),
                    "--out", str(tmp_path / "o.mmv")) == EXIT_DATA
+        assert "divisible by 16, got 20x20" in capsys.readouterr().err
+        assert not (tmp_path / "o.mmv").exists()
 
     def test_forged_volume_header_is_data_error(self, ckpt, tmp_path):
         # a 21-byte MMV whose header declares four 0xFFFFFFFF extents

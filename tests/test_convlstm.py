@@ -98,31 +98,36 @@ class TestSequence:
         rng = np.random.default_rng(3)
         p = make_params(rng)
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
-        hs = convlstm_sequence([x], p)
+        hs = convlstm_sequence(x, p)
         h_direct, _ = convlstm_step(x, zero_state(), p)
-        np.testing.assert_array_equal(hs[0].data, h_direct.data)
+        np.testing.assert_array_equal(hs.data, h_direct.data)
 
     def test_zero_inputs_zero_outputs(self):
         p = ConvLstmParams(2, 2, 3, dtype=np.float64)
-        xs = [Tensor(np.zeros((1, 2, 4, 4))) for _ in range(4)]
-        for h in convlstm_sequence(xs, p):
-            np.testing.assert_array_equal(h.data, 0.0)
+        hs = convlstm_sequence(Tensor(np.zeros((4, 2, 4, 4))), p)
+        assert hs.shape == (4, 2, 4, 4)
+        np.testing.assert_array_equal(hs.data, 0.0)
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ShapeError):
-            convlstm_sequence([], ConvLstmParams(1, 1, 3))
+            convlstm_sequence(Tensor(np.zeros((0, 1, 4, 4))),
+                              ConvLstmParams(1, 1, 3))
+
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 1, 1, 4, 4)])
+    def test_non_4d_input_raises(self, shape):
+        with pytest.raises(ShapeError, match="T, C, h, w"):
+            convlstm_sequence(Tensor(np.zeros(shape)), ConvLstmParams(1, 1, 3))
 
     def test_parameter_count_constant_in_length(self):
         p = ConvLstmParams(3, 5, 3)
         count = sum(t.size for t in p.named_tensors().values())
         for t_len in (1, 3, 5):
             rng = np.random.default_rng(4)
-            xs = [Tensor(rng.standard_normal((1, 3, 4, 4))) for _ in range(t_len)]
-            convlstm_sequence(xs, p)
+            convlstm_sequence(Tensor(rng.standard_normal((t_len, 3, 4, 4))), p)
             assert sum(t.size for t in p.named_tensors().values()) == count
 
     def test_bptt_gradcheck(self):
-        report = check_convlstm_sequence(0, 1e-4, steps=3)
+        report = check_convlstm_sequence(0, 1e-4)
         assert report.passed, report.max_rel_error
 
 
@@ -155,14 +160,27 @@ def reference_step(x_t, state, p):
     return h_t, ConvLstmState(h_t, c_t)
 
 
-def reference_sequence(xs, p):
-    n, _, hs, ws = xs[0].shape
-    state = ConvLstmState.zeros(n, p.hidden_channels, hs, ws, dtype=np.float64)
+def time_row(x, t):
+    """Row t of a (T, C, h, w) tensor as a (1, C, h, w) node that routes
+    its gradient back into x."""
+    def backward(grad):
+        full = np.zeros(x.shape)
+        full[t:t + 1] = grad
+        x._accumulate(full)
+
+    return make_node(x.data[t:t + 1], (x,), backward)
+
+
+def reference_sequence(x, p):
+    """The per-gate oracle stepped over the rows of x, from a zero
+    state; the hidden maps joined into one (T, Ch, h, w) tensor."""
+    _, _, hs, ws = x.shape
+    state = ConvLstmState.zeros(1, p.hidden_channels, hs, ws, dtype=np.float64)
     out = []
-    for x_t in xs:
-        h_t, state = reference_step(x_t, state, p)
+    for t in range(x.shape[0]):
+        h_t, state = reference_step(time_row(x, t), state, p)
         out.append(h_t)
-    return out
+    return ops.concat0(out)
 
 
 def leaves(*shapes, rng):
@@ -185,7 +203,8 @@ def values_and_grads(outputs, tensors, rng_seed):
 
 class TestStackedCell:
     """The gate-stacked cell against the per-gate oracle, float64, with
-    a batch of 2, Cx=3 != Ch=4 and a non-square map."""
+    Cx=3 != Ch=4 and a non-square map: one step at a batch of 2, and a
+    sequence of T steps as one (T, Cx, h, w) tensor."""
 
     N, CX, CH, H, W = 2, 3, 4, 5, 6
 
@@ -211,29 +230,23 @@ class TestStackedCell:
     @pytest.mark.parametrize("k", [1, 3])
     def test_sequence_matches_per_gate_oracle(self, k):
         p = self.params(k, 20)
-        xs = leaves(*[(self.N, self.CX, self.H, self.W)] * 3,
-                    rng=np.random.default_rng(21))
-        tensors = list(p.named_tensors().values()) + xs
-        vals, grads = values_and_grads(convlstm_sequence(xs, p), tensors, 22)
-        ref_vals, ref_grads = values_and_grads(reference_sequence(xs, p),
-                                               tensors, 22)
-        assert len(grads) == 6 and all(g is not None for g in grads)
-        for a, b in zip(vals + grads, ref_vals + ref_grads):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_time_major_tensor_is_one_sequence(self):
-        p = self.params(3, 30)
-        seq = Tensor(np.random.default_rng(31).standard_normal(
-            (3, self.CX, self.H, self.W)))
-        steps = [Tensor(seq.data[t:t + 1]) for t in range(3)]
-        for a, b in zip(convlstm_sequence(seq, p), convlstm_sequence(steps, p)):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_mismatched_inputs_raise(self):
-        p = self.params(3, 40)
-        with pytest.raises(ShapeError, match="share"):
-            convlstm_sequence([Tensor(np.zeros((2, 3, 4, 4))),
-                               Tensor(np.zeros((1, 3, 4, 4)))], p)
+        for t_len in (1, 3):
+            x, = leaves((t_len, self.CX, self.H, self.W),
+                        rng=np.random.default_rng(21))
+            tensors = list(p.named_tensors().values()) + [x]  # wx, wh, b, x
+            vals, grads = values_and_grads([convlstm_sequence(x, p)],
+                                           tensors, 22)
+            ref_vals, ref_grads = values_and_grads(
+                [reference_sequence(x, p)], tensors, 22)
+            if t_len == 1:
+                # h_0 is zero, so one step makes no recurrent conv; the
+                # oracle convolves the zero map, giving wh a zero gradient
+                assert grads[1] is None
+                grads[1] = np.zeros(p.wh.shape)
+            assert vals[0].shape == (t_len, self.CH, self.H, self.W)
+            assert all(g is not None for g in grads)
+            for a, b in zip(vals + grads, ref_vals + ref_grads):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t_len", [1, 3, 5])
     def test_conv_calls_per_sequence(self, monkeypatch, t_len):
@@ -246,7 +259,6 @@ class TestStackedCell:
             return ops.conv2d(*args)
         monkeypatch.setattr(convlstm, "conv2d", counted)
         p = self.params(3, 50)
-        xs = [Tensor(np.ones((self.N, self.CX, 4, 4))) for _ in range(t_len)]
-        convlstm_sequence(xs, p)
+        convlstm_sequence(Tensor(np.ones((t_len, self.CX, 4, 4))), p)
         assert len(calls) == t_len
-        assert calls[0] == (t_len * self.N, self.CX, 4, 4)
+        assert calls[0] == (t_len, self.CX, 4, 4)

@@ -86,10 +86,10 @@ class TestForward:
         rng = np.random.default_rng(1)
         seq = rng.standard_normal((3, 4, 64, 64)).astype(np.float32)
         probs = forward(params, seq, mode="train")
-        assert len(probs) == 3
-        for p in probs:
-            assert p.shape == (5, 64, 64)
-            np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-6)
+        # one (T, K, H, W) array for the whole window
+        assert isinstance(probs, np.ndarray)
+        assert probs.shape == (3, 5, 64, 64)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_eval_deterministic_and_batch_independent(self):
         config = ModelConfig(seed=2, **TINY)
@@ -249,10 +249,10 @@ class TestGraphFree:
             (2, 4, 16, 16)).astype(np.float32)
         logits = forward_logits(params, seq, "eval")
         assert logits._backward is not None
-        ref = ops.softmax(logits.data, axis=1)
+        ref = ops.softmax(logits.data)
         probs = forward(params, seq, "eval")
-        assert probs[0].dtype == np.float32
-        np.testing.assert_array_equal(np.stack(probs), ref)
+        assert probs.dtype == np.float32
+        np.testing.assert_array_equal(probs, ref)
 
     def test_failed_forward_restores_recording(self):
         config = ModelConfig(seed=3, **TINY)

@@ -227,7 +227,8 @@ class TestConvTranspose2d:
         x = rng.standard_normal((1, 1, 2, 2))
         k = np.zeros((1, 1, 2, 2))
         k[0, 0, 0, 0] = 1.0
-        out = ops.conv_transpose2d(Tensor(x), Tensor(k), None).data
+        out = ops.conv_transpose2d(Tensor(x), Tensor(k),
+                                   Tensor(np.zeros(1))).data
         expect = np.zeros((1, 1, 4, 4))
         expect[0, 0, ::2, ::2] = x[0, 0]
         np.testing.assert_array_equal(out, expect)
@@ -238,7 +239,8 @@ class TestConvTranspose2d:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((1, 2, 4, 4))
         k = rng.standard_normal((2, 3, 2, 2))  # (Cin, Cout, 2, 2)
-        out = ops.conv_transpose2d(Tensor(x), Tensor(k), None).data
+        out = ops.conv_transpose2d(Tensor(x), Tensor(k),
+                                   Tensor(np.zeros(3))).data
         # direct scatter oracle (the adjoint of a stride-2 valid conv)
         expect = np.zeros((1, 3, 8, 8))
         for ci in range(2):
@@ -271,7 +273,8 @@ class TestConvTranspose2d:
     def test_exactly_doubles_extents(self):
         for h, w in [(1, 1), (3, 5), (4, 4)]:
             out = ops.conv_transpose2d(Tensor(np.zeros((1, 2, h, w))),
-                                       Tensor(np.zeros((2, 2, 2, 2))), None)
+                                       Tensor(np.zeros((2, 2, 2, 2))),
+                                       Tensor(np.zeros(2)))
             assert out.shape == (1, 2, 2 * h, 2 * w)
 
 
