@@ -16,8 +16,8 @@ from .dataio import (MIN_EXTENT, FormatError, gen_synthetic_case,
                      load_checkpoint, normalize_volume, read_volume,
                      save_checkpoint, write_volume)
 from .gradsuite import run_suite
-from .network import (ModelConfig, config_text, init_params, parse_config,
-                      predict_volume)
+from .network import (N_SCALES, ModelConfig, config_text, init_params,
+                      parse_config, predict_volume)
 from .tensor import NumericalError
 from .training import SequenceDataset, TrainConfig, run_two_phase
 
@@ -82,7 +82,8 @@ def write_text(path, text):
 def load_cases(data_dir):
     """Reads case_<i>_img.mmv / case_<i>_lbl.mmv pairs, sorted by index;
     each image comes back normalized. An image and its labels must
-    share (D, H, W)."""
+    share (D, H, W), and H and W must divide by 2**N_SCALES, so a bad
+    case fails before any training or prediction runs."""
     cases = []
     names = sorted(n for n in os.listdir(data_dir) if n.endswith("_img.mmv"))
     if not names:
@@ -99,6 +100,11 @@ def load_cases(data_dir):
             raise FormatError(
                 f"{name} has (D, H, W) {img.shape[1:]} but {lbl_name} has "
                 f"{lbl.shape}")
+        div = 2 ** N_SCALES
+        if img.shape[2] % div or img.shape[3] % div:
+            raise FormatError(
+                f"{name} has H x W {img.shape[2]}x{img.shape[3]}; both must "
+                f"be divisible by {div}")
         cases.append((normalize_volume(img), lbl))
     return cases
 

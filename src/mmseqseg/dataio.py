@@ -314,6 +314,9 @@ def gen_synthetic_case(seed, dims):
     else:
         raise RuntimeError("could not generate a valid phantom")
 
-    volume = _CLASS_MEANS.T[:, labels]  # (4, D, H, W)
-    volume = volume + rng.normal(0.0, NOISE_SIGMA, size=volume.shape)
-    return volume.astype(np.float32), labels
+    # modality by modality, in the rng's draw order: the float64 noise is
+    # one (D, H, W) draw at a time, not a (4, D, H, W) one and its sum
+    volume = np.empty((_CLASS_MEANS.shape[1], d, h, w), dtype=np.float32)
+    for c, means in enumerate(_CLASS_MEANS.T):
+        volume[c] = means[labels] + rng.normal(0.0, NOISE_SIGMA, size=dims)
+    return volume, labels

@@ -12,9 +12,11 @@ The M encoders are stored grouped: `params.encoders[s]` is one conv-BN
 block over M*C channels whose kernel rows and batch-norm channels
 m*C ... (m+1)*C - 1 are modality m's. They run as one chain over a
 grouped map (T, M*C, h, w) whose channel group m is modality m's: each
-stage is one grouped conv2d, one batchnorm, one relu and one maxpool2x2
-over all M modalities. `ModelParams.records()` names modality m's and
-each convLSTM gate's slices for the checkpoint.
+stage is one grouped conv_bn_relu and one maxpool2x2 over all M
+modalities. Every conv-BN block, in the encoder and the decoder, runs as
+one `ops.conv_bn_relu` node, bit for bit the separate conv2d, batchnorm
+and relu. `ModelParams.records()` names modality m's and each convLSTM
+gate's slices for the checkpoint.
 """
 
 from dataclasses import dataclass, fields
@@ -24,8 +26,8 @@ import numpy as np
 from . import ops
 from .convlstm import ConvLstmParams, convlstm_sequence
 from .crossmodal import CmcParams, cmc_forward, mrf_fuse, stack_modalities
-from .ops import (BatchNormParams, batchnorm, conv2d, conv_transpose2d,
-                  maxpool2x2, relu)
+from .ops import (BatchNormParams, conv2d, conv_bn_relu, conv_transpose2d,
+                  maxpool2x2)
 from .tensor import ShapeError, Tensor, no_grad
 
 N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
@@ -262,7 +264,8 @@ def init_params(config, dtype=np.float32):
 
 def _encode(params, x_seq, mode):
     """The M encoders as one chain over a grouped map, then CMC at every
-    scale.
+    scale. Each stage is one grouped conv_bn_relu (conv, batch norm and
+    ReLU in one node) and one maxpool2x2 over all M modalities.
 
     x_seq: (T, M, H, W) array, the grouped map of the input. Returns list
     of N_SCALES CMC map tensors, each (T, C_s, H/2^(s+1), W/2^(s+1)).
@@ -278,8 +281,7 @@ def _encode(params, x_seq, mode):
     feat = Tensor(x_seq)
     cmc_maps = []
     for p, cmc in zip(params.encoders, params.cmc):
-        feat = relu(batchnorm(conv2d(feat, p.kernel, groups=m), p.bn, mode))
-        feat = maxpool2x2(feat)
+        feat = maxpool2x2(conv_bn_relu(feat, p.kernel, p.bn, mode, m))
         cmc_maps.append(cmc_forward(stack_modalities(feat, m), cmc))
     return cmc_maps
 
@@ -296,7 +298,7 @@ def forward_logits(params, x_seq, mode="train", intermediates=None):
     for stage, s in zip(params.decoder, range(N_SCALES - 1, -1, -1)):
         d = mrf_fuse(cmc_maps[s], d)
         d = conv_transpose2d(d, stage.up_kernel, stage.up_bias)
-        d = relu(batchnorm(conv2d(d, stage.conv.kernel), stage.conv.bn, mode))
+        d = conv_bn_relu(d, stage.conv.kernel, stage.conv.bn, mode, 1)
     return conv2d(d, params.cls_kernel, params.cls_bias)
 
 

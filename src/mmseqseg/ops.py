@@ -3,21 +3,26 @@
 All spatial ops take NCHW input and return C-contiguous NCHW arrays.
 Convolution is same-padded cross-correlation (no kernel flip), lowered
 to batched im2col: each image's patches form a (C*kh*kw, H*W) matrix,
-filled tap by tap from shifted windows of the unpadded input (taps that
-fall in the zero padding stay zero, so no padded copy is made; the
-slices of each tap are planned once per shape and cached). The
-product of the (Cout, C*kh*kw) kernel matrix with it is already the
-(Cout, H*W) NCHW output, so neither the patches nor the result is
-transposed; a grouped convolution splits both into G blocks and takes
-their G products in one batched matmul. Everything else is plain numpy
-on strided views.
+made as one zero-padded copy of the input and one copy of its
+(N, C, kh, kw, H, W) window view. The product of the (Cout, C*kh*kw)
+kernel matrix with it is already the (Cout, H*W) NCHW output, so neither
+the patches nor the result is transposed; a grouped convolution splits
+both into G blocks and takes their G products in one batched matmul.
+The backward scatters the patch gradients tap by tap (the slices of
+each tap are planned once per shape and cached).
+
+`conv_bn_relu` is a convolution, its batch norm and a ReLU as one graph
+node, equal bit for bit to `relu(batchnorm(conv2d(...)))`: it shares
+the convolution and the batch-norm statistics, affine and backward with
+`conv2d` and `batchnorm`, and runs the affine and the ReLU in the
+buffers it owns. Everything else is plain numpy on strided views.
 """
 
 import functools
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, make_node
+from .tensor import ShapeError, Tensor, make_node, records_graph
 
 
 def _shift(n, d):
@@ -45,12 +50,17 @@ def _taps(h, w, kh, kw):
 
 
 def _im2col(x, kh, kw):
-    # x: (N, C, H, W) -> (N, C*kh*kw, H*W), same padding, stride 1
+    # x: (N, C, H, W) -> (N, C*kh*kw, H*W), same padding, stride 1: one
+    # zero-padded copy, then one copy of its (N, C, kh, kw, H, W) view
+    # whose tap (dy, dx) is the padded image shifted by (dy, dx)
     n, c, h, w = x.shape
-    col = np.zeros((n, c, kh, kw, h, w), dtype=x.dtype)
-    for out_idx, in_idx in _taps(h, w, kh, kw):
-        col[out_idx] = x[in_idx]
-    return col.reshape(n, c * kh * kw, h * w)
+    ph, pw = kh // 2, kw // 2
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    padded[:, :, ph:ph + h, pw:pw + w] = x
+    sn, sc, sy, sx = padded.strides
+    windows = np.ndarray((n, c, kh, kw, h, w), x.dtype, padded, 0,
+                         (sn, sc, sy, sx, sy, sx))
+    return windows.reshape(n, c * kh * kw, h * w)
 
 
 def _col2im(col, x_shape, kh, kw):
@@ -63,16 +73,10 @@ def _col2im(col, x_shape, kh, kw):
     return img
 
 
-def conv2d(x, kernel, bias=None, groups=1):
-    """Same-padded cross-correlation, stride 1. kernel (Cout, Cin/groups,
-    kh, kw) with odd kh, kw.
-
-    With G groups, input channels g*Cin/G ... (g+1)*Cin/G - 1 feed only
-    output channels g*Cout/G ... (g+1)*Cout/G - 1 (the grouped
-    convolution of AlexNet and ResNeXt): the patches of each image split
-    into G row blocks, and one batched matmul takes the product of each
-    group's kernel matrix with its block. G = 1 is the plain convolution.
-    """
+def _conv(x, kernel, groups):
+    # the convolution shared by conv2d and conv_bn_relu: the
+    # (N, Cout, H, W) output, owned by the caller, and the backward that
+    # takes its gradient to x and kernel
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError("conv2d expects NCHW input and OIHW kernel")
     n, cin, h, w = x.shape
@@ -88,14 +92,9 @@ def conv2d(x, kernel, bias=None, groups=1):
 
     col = _im2col(x.data, kh, kw).reshape(n, groups, -1, h * w)
     w_col = kernel.data.reshape(groups, cout // groups, -1)
-    out = (w_col @ col).reshape(n, cout, h * w)  # (N, G, Cout/G, H*W)
-    if bias is not None:
-        out += bias.data[:, None]
+    out = (w_col @ col).reshape(n, cout, h, w)  # from (N, G, Cout/G, H*W)
 
     def backward(g):
-        g = g.reshape(n, cout, h * w)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2)))
         g = g.reshape(n, groups, cout // groups, h * w)
         if kernel.requires_grad:
             dk = (g @ col.transpose(0, 1, 3, 2)).sum(axis=0)
@@ -104,9 +103,31 @@ def conv2d(x, kernel, bias=None, groups=1):
             x._accumulate(_col2im(w_col.transpose(0, 2, 1) @ g, x.shape,
                                   kh, kw))
 
+    return out, backward
+
+
+def conv2d(x, kernel, bias=None, groups=1):
+    """Same-padded cross-correlation, stride 1. kernel (Cout, Cin/groups,
+    kh, kw) with odd kh, kw.
+
+    With G groups, input channels g*Cin/G ... (g+1)*Cin/G - 1 feed only
+    output channels g*Cout/G ... (g+1)*Cout/G - 1 (the grouped
+    convolution of AlexNet and ResNeXt): the patches of each image split
+    into G row blocks, and one batched matmul takes the product of each
+    group's kernel matrix with its block. G = 1 is the plain convolution.
+    """
+    out, conv_backward = _conv(x, kernel, groups)
+    if bias is not None:
+        out += bias.data[:, None, None]
+
+    def backward(g):
+        if bias is not None and bias.requires_grad:
+            n, cout = g.shape[:2]
+            bias._accumulate(g.reshape(n, cout, -1).sum(axis=(0, 2)))
+        conv_backward(g)
+
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return make_node(out.reshape(n, cout, h, w), parents, backward,
-                     "conv2d output")
+    return make_node(out, parents, backward, "conv2d output")
 
 
 def conv_transpose2d(x, kernel, bias):
@@ -132,8 +153,11 @@ def conv_transpose2d(x, kernel, bias):
     w_mat = kernel.data.reshape(cin, 4 * cout).T  # rows (Cout, dy, dx)
     pixels = x.data.reshape(n, cin, h * w)
     taps = (w_mat @ pixels).reshape(n, cout, 2, 2, h, w)
-    out = np.ascontiguousarray(taps.transpose(0, 1, 4, 2, 5, 3)).reshape(
-        n, cout, 2 * h, 2 * w)
+    out = np.empty((n, cout, h, 2, w, 2), dtype=taps.dtype)
+    for dy in range(2):
+        for dx in range(2):
+            out[:, :, :, dy, :, dx] = taps[:, :, dy, dx]
+    out = out.reshape(n, cout, 2 * h, 2 * w)
     out += bias.data[None, :, None, None]
 
     def backward(g):
@@ -158,15 +182,19 @@ def maxpool2x2(x):
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even extents, got {h}x{w}")
-    # the four window positions in row-major order, as strided views
-    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
-    corners = [x.data[:, :, a::2, b::2] for a, b in offsets]
-    out = np.maximum(corners[0], corners[1])
-    np.maximum(out, corners[2], out=out)
-    np.maximum(out, corners[3], out=out)
+    # the max of each row's column pairs, then of each pair of those
+    # rows. np.maximum keeps its second operand on a tie, so this keeps
+    # the last maximum in row-major window order, as a left-to-right max
+    # over the four corners does; the order shows only in the sign of a
+    # zero maximum
+    cols = np.maximum(x.data[:, :, :, 0::2], x.data[:, :, :, 1::2])
+    out = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
 
     def backward(g):
         if x.requires_grad:
+            # the four window positions in row-major order
+            offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
+            corners = [x.data[:, :, a::2, b::2] for a, b in offsets]
             dx = np.empty(x.shape, dtype=x.dtype)
             free = np.ones(out.shape, dtype=bool)  # window not yet routed
             for (a, b), corner in zip(offsets, corners):
@@ -198,24 +226,26 @@ class BatchNormParams:
             run += (1.0 - self.momentum) * batch.astype(run.dtype)
 
 
-def batchnorm(x, params, mode="train"):
-    """Per-channel batch normalization over the N, H, W axes."""
-    if x.ndim != 4:
-        raise ShapeError("batchnorm expects NCHW input")
+def _bn(x, params, mode):
+    # the batch norm shared by batchnorm and conv_bn_relu, over the
+    # (N, C, H, W) array x. Returns (a, b, backward): the per-channel
+    # affine x * a + b, from the batch's statistics in train mode (which
+    # also update the running statistics), else from the running ones;
+    # and the backward that takes an upstream gradient g to scale and
+    # shift and returns the gradient of x (None unless need_dx)
     n, c, h, w = x.shape
     if params.scale.size != c:
         raise ShapeError(f"batchnorm channel mismatch: {params.scale.size} vs {c}")
-    eps = params.epsilon
+    m = n * h * w
     if mode == "train":
-        m = n * h * w
         if m < 2:
             raise ShapeError("train-mode batchnorm needs N*H*W >= 2")
         # the sums np.mean and np.var make, with one pass for the mean
-        mean = x.data.sum(axis=(0, 2, 3)) / m
-        d = x.data - mean[:, None, None]
+        mean = x.sum(axis=(0, 2, 3)) / m
+        d = x - mean[:, None, None]
         d *= d
         var = d.sum(axis=(0, 2, 3)) / m
-        del d  # freed before the output is allocated
+        del d  # freed before the caller allocates its output
         params.update(mean, var)
     elif mode == "eval":
         mean = params.running_mean.astype(x.dtype)
@@ -223,34 +253,49 @@ def batchnorm(x, params, mode="train"):
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + params.epsilon)
     scale, shift = params.scale, params.shift
     # scale * (x - mean) * inv_std + shift as one per-channel affine
     a = scale.data * inv_std
     b = shift.data - mean * a
-    out = x.data * a[:, None, None]
-    out += b[:, None, None]
 
-    def backward(g):
+    def backward(g, need_dx):
         gsum = g.sum(axis=(0, 2, 3))
         # xhat is recomputed here, not held from the forward
-        xhat = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
         gxhat = (g * xhat).sum(axis=(0, 2, 3))
         if shift.requires_grad:
             shift._accumulate(gsum)
         if scale.requires_grad:
             scale._accumulate(gxhat)
-        if x.requires_grad:
-            if mode == "train":
-                xhat *= (gxhat / m)[:, None, None]
-                dx = g - (gsum / m)[:, None, None]
-                dx -= xhat
-                dx *= a[:, None, None]
-            else:
-                dx = g * a[:, None, None]
+        if not need_dx:
+            return None
+        if mode == "train":
+            xhat *= (gxhat / m)[:, None, None]
+            dx = g - (gsum / m)[:, None, None]
+            dx -= xhat
+            dx *= a[:, None, None]
+            return dx
+        return g * a[:, None, None]
+
+    return a, b, backward
+
+
+def batchnorm(x, params, mode="train"):
+    """Per-channel batch normalization over the N, H, W axes."""
+    if x.ndim != 4:
+        raise ShapeError("batchnorm expects NCHW input")
+    a, b, bn_backward = _bn(x.data, params, mode)
+    out = x.data * a[:, None, None]
+    out += b[:, None, None]
+
+    def backward(g):
+        dx = bn_backward(g, x.requires_grad)
+        if dx is not None:
             x._accumulate(dx)
 
-    return make_node(out, (x, scale, shift), backward, "batchnorm output")
+    return make_node(out, (x, params.scale, params.shift), backward,
+                     "batchnorm output")
 
 
 def relu(x):
@@ -261,6 +306,34 @@ def relu(x):
             x._accumulate(g * (out > 0))
 
     return make_node(out, (x,), backward, "relu output")
+
+
+def conv_bn_relu(x, kernel, bn, mode, groups):
+    """relu(batchnorm(conv2d(x, kernel, groups=groups), bn, mode)) as one
+    node, equal to the three ops bit for bit.
+
+    The batch-norm affine runs in the convolution's buffer when no graph
+    is recorded; when the backward needs the convolution output, it runs
+    into a second buffer. The one finite check is on the affine result,
+    before the ReLU, so a non-finite value cannot hide behind a zero;
+    the ReLU then runs in place.
+    """
+    y, conv_backward = _conv(x, kernel, groups)
+    a, b, bn_backward = _bn(y, bn, mode)
+    parents = (x, kernel, bn.scale, bn.shift)
+    out = np.multiply(y, a[:, None, None],
+                      out=np.empty_like(y) if records_graph(parents) else y)
+    out += b[:, None, None]
+
+    def backward(g):
+        need_dy = x.requires_grad or kernel.requires_grad
+        dy = bn_backward(g * (out > 0), need_dy)
+        if dy is not None:
+            conv_backward(dy)
+
+    node = make_node(out, parents, backward, "conv_bn_relu output")
+    np.maximum(out, 0, out=out)
+    return node
 
 
 def expit(z):

@@ -8,13 +8,15 @@ reachable tensor with ``requires_grad=True``.
 Memory: inside ``no_grad()`` ops record no parents and no backward
 closure, so the buffers a closure would save (im2col columns, pooling
 inputs, batch-norm inputs) die as soon as the op returns;
-``network.forward`` (and with it predict and eval) runs that way. The
-backward sweep releases each node's closure and parents once it has
-run, so a saved buffer is freed as soon as it is dead, and one
-``backward()`` consumes the graph.
+``network.forward`` (and with it predict and eval) runs that way.
+Recording is per thread: ``no_grad()`` in one thread leaves every other
+thread's ops recording. The backward sweep releases each node's closure
+and parents once it has run, so a saved buffer is freed as soon as it is
+dead, and one ``backward()`` consumes the graph.
 """
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -33,21 +35,26 @@ def check_finite(arr, what):
     return arr
 
 
-_recording = True  # False inside no_grad()
+# False inside no_grad(); each thread starts with its own value, True
+_recording = ContextVar("recording", default=True)
 
 
 @contextmanager
 def no_grad():
     """Ops inside build no graph: outputs carry no parents and no
     backward closure. Nests, and restores recording on exit, also when
-    an exception leaves the block."""
-    global _recording
-    outer = _recording
-    _recording = False
+    an exception leaves the block. Holds for the calling thread only."""
+    token = _recording.set(False)
     try:
         yield
     finally:
-        _recording = outer
+        _recording.reset(token)
+
+
+def records_graph(parents):
+    """Whether an op over `parents` records a graph node: outside
+    no_grad(), with at least one parent that needs a gradient."""
+    return _recording.get() and any(p.requires_grad for p in parents)
 
 
 class Tensor:
@@ -151,7 +158,7 @@ def make_node(data, parents, backward, what="op output"):
     no_grad() the output is a plain constant and `backward` is dropped."""
     check_finite(data, what)
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if records_graph(parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward

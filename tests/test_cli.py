@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from mmseqseg import cli
 from mmseqseg.cli import (EXIT_DATA, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE,
                           ConfigError, main, parse_config_file, resolve_config)
 from mmseqseg.dataio import read_volume, save_checkpoint, write_volume
@@ -221,6 +222,47 @@ class TestImageLabelAgreement:
                    "--report", str(report), "--use-truth") == EXIT_DATA
         assert "case_0_lbl.mmv" in capsys.readouterr().err
         assert not report.exists()
+
+
+@pytest.fixture
+def indivisible_corpus(tmp_path):
+    """A 24x128x128 case, then a 16x20x20 one whose H x W does not divide
+    by 16."""
+    data = tmp_path / "indivisible"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    for i, (d, h, w) in enumerate([(24, 128, 128), (16, 20, 20)]):
+        write_volume(data / f"case_{i}_img.mmv",
+                     rng.standard_normal((4, d, h, w)).astype(np.float32),
+                     "modal")
+        write_volume(data / f"case_{i}_lbl.mmv",
+                     np.zeros((d, h, w), dtype=np.uint8), "label")
+    return data
+
+
+class TestCaseExtents:
+    def test_eval_rejects_before_predicting(self, indivisible_corpus,
+                                            tmp_path, capsys, monkeypatch):
+        predicted = []
+        monkeypatch.setattr(cli, "predict_volume",
+                            lambda *a: predicted.append(a))
+        ckpt = tmp_path / "m.mmck"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        report = tmp_path / "report.txt"
+        assert run("eval", "--model", str(ckpt), "--data",
+                   str(indivisible_corpus), "--report", str(report)) \
+            == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "case_1_img.mmv" in err and "20x20" in err
+        assert predicted == [] and not report.exists()
+
+    def test_train_rejects_before_making_output(self, indivisible_corpus,
+                                                tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("train", "--data", str(indivisible_corpus),
+                   "--out", str(out)) == EXIT_DATA
+        assert "case_1_img.mmv" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

@@ -478,6 +478,40 @@ class TestSyntheticGenerator:
         vol, _ = gen_synthetic_case(2, (16, 32, 32))
         assert np.all(np.isfinite(vol))
 
+    @pytest.mark.parametrize("seed,dims", [(0, (16, 32, 32)),
+                                           (3, (19, 17, 23))])
+    def test_noise_equals_one_volume_draw(self, seed, dims, monkeypatch):
+        # the noise is drawn modality by modality; the oracle is the one
+        # (4, D, H, W) float64 draw added to the class means, then cast
+        states = []
+
+        class Spy(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                states.append(self.bit_generator.state)
+                return super().normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda s: Spy(np.random.PCG64(s)))
+        vol, labels = gen_synthetic_case(seed, dims)
+        monkeypatch.undo()
+        oracle_rng = np.random.default_rng()
+        oracle_rng.bit_generator.state = states[0]
+        noise = oracle_rng.normal(0.0, dataio.NOISE_SIGMA, size=(4,) + dims)
+        want = (dataio._CLASS_MEANS.T[:, labels] + noise).astype(np.float32)
+        assert vol.dtype == np.float32 and vol.flags.c_contiguous
+        assert vol.tobytes() == want.tobytes()
+
+    def test_noise_draw_memory(self):
+        # one modality's float64 noise at a time: below the 8 bytes per
+        # voxel of a whole-volume float64 draw
+        tracemalloc.start()
+        try:
+            gen_synthetic_case(0, (32, 64, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 32 * 64 * 64 * 8
+
 
 class TestNormalize:
     def test_zscore(self):

@@ -143,10 +143,10 @@ class TestForward:
             np.testing.assert_allclose(pa, pb, rtol=1e-5, atol=1e-6)
 
     def test_encoder_one_call_per_layer_and_scale(self, monkeypatch):
-        # the four modality chains run as one grouped chain: one conv2d,
-        # batchnorm, relu and maxpool2x2 per scale, not one per modality
+        # the four modality chains run as one grouped chain: one
+        # conv_bn_relu and one maxpool2x2 per scale, not one per modality
         calls = {}
-        for name in ("conv2d", "batchnorm", "relu", "maxpool2x2"):
+        for name in ("conv_bn_relu", "maxpool2x2"):
             def counted(*args, _fn=getattr(network, name), _name=name,
                         **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -156,8 +156,7 @@ class TestForward:
         seq = np.random.default_rng(8).standard_normal((2, 4, 16, 16))
         maps = network._encode(params, seq, "train")
         assert len(maps) == 4
-        assert calls == {"conv2d": 4, "batchnorm": 4, "relu": 4,
-                         "maxpool2x2": 4}
+        assert calls == {"conv_bn_relu": 4, "maxpool2x2": 4}
 
     def test_intermediates_exposed(self):
         params = init_params(ModelConfig(seed=6, **TINY))
@@ -185,12 +184,12 @@ class TestGraph:
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         nodes = _graph(forward_logits(params, seq.astype(np.float32)))
-        # 52 op outputs and 45 parameters, whatever the kernel layouts: per
-        # scale the grouped encoder makes conv, batchnorm, relu, maxpool,
-        # the modality stack and CMC (24); at T=2 the convLSTM makes 2
-        # convs and 4 cell nodes, joined by one concat0 (7); the decoder
-        # makes 5 per stage (20) and the classifier 1
-        assert len(nodes) == 97
+        # 36 op outputs and 45 parameters, whatever the kernel layouts: per
+        # scale the grouped encoder makes conv_bn_relu, maxpool, the
+        # modality stack and CMC (16); at T=2 the convLSTM makes 2 convs
+        # and 4 cell nodes, joined by one concat0 (7); the decoder makes
+        # 3 per stage (12) and the classifier 1
+        assert len(nodes) == 81
         assert all(n.data.flags.c_contiguous for n in nodes)
 
     def test_accumulate_keeps_stored_gradient(self):
@@ -238,7 +237,7 @@ class TestGraphFree:
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         with no_grad():
             logits = forward_logits(params, seq.astype(np.float32), "eval")
-        assert len(made) == 52  # every op output of the graph-built pass
+        assert len(made) == 36  # every op output of the graph-built pass
         assert _graph(logits) == [logits]
         assert all(n._backward is None and n._parents == () and
                    not n.requires_grad for n in made)
@@ -259,7 +258,7 @@ class TestGraphFree:
         params = init_params(config)
         with pytest.raises(ShapeError, match="modalit"):
             forward(params, np.zeros((2, 3, 16, 16)), mode="eval")
-        assert tensor._recording
+        assert tensor._recording.get()
         named = params.named_tensors()
         train_step(params, named, _batch(config, 2, 5), np.ones(5),
                    OptimizerState(named), 1e-3, TrainConfig())
@@ -272,10 +271,52 @@ class TestGraphFree:
                                       np.ones(5, dtype=np.float32))
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
-        assert len(interior) == 53  # 52 op outputs and the loss
+        assert len(interior) == 37  # 36 op outputs and the loss
         loss.backward()
         assert all(n._backward is None and n._parents == () for n in interior)
         assert all(p.grad is not None for p in params.named_tensors().values())
+
+
+def separate_conv_bn_relu(x, kernel, bn, mode, groups):
+    return ops.relu(ops.batchnorm(ops.conv2d(x, kernel, groups=groups), bn,
+                                  mode))
+
+
+class TestSeparateOpsOracle:
+    """The network with each conv_bn_relu replaced by separate conv2d,
+    batchnorm and relu calls, on default-config 128x128 windows: the
+    fused layers must give the same bits."""
+
+    def test_forward_bit_equal(self, monkeypatch):
+        params = init_params(ModelConfig(seed=2))
+        seq = np.random.default_rng(3).standard_normal(
+            (3, 4, 128, 128)).astype(np.float32)
+        fused = forward(params, seq)
+        with monkeypatch.context() as m:
+            m.setattr(network, "conv_bn_relu", separate_conv_bn_relu)
+            separate = forward(params, seq)
+        assert fused.tobytes() == separate.tobytes()
+
+    def test_train_step_bit_equal(self, monkeypatch):
+        config = ModelConfig(seed=2, input_height=128, input_width=128)
+        batch = _batch(config, 1, 4)
+        runs = []
+        for fn in (separate_conv_bn_relu, network.conv_bn_relu):
+            params = init_params(config)
+            named = params.named_tensors()
+            with monkeypatch.context() as m:
+                m.setattr(network, "conv_bn_relu", fn)
+                loss = train_step(params, named, batch, np.ones(5),
+                                  OptimizerState(named), 1e-2, TrainConfig())
+            # the records hold the stepped weights and running statistics
+            runs.append((loss, {n: t.grad for n, t in named.items()},
+                         params.records()))
+        (loss_a, grads_a, rec_a), (loss_b, grads_b, rec_b) = runs
+        assert loss_a == loss_b
+        for name, g in grads_a.items():
+            assert g.tobytes() == grads_b[name].tobytes(), name
+        for name, v in rec_a.items():
+            assert v.tobytes() == rec_b[name].tobytes(), name
 
 
 class TestMemory:

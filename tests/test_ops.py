@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from mmseqseg import ops
+from mmseqseg import ops, tensor
 from mmseqseg.gradcheck import grad_check
 from mmseqseg.ops import BatchNormParams
-from mmseqseg.tensor import NumericalError, ShapeError, Tensor, make_node
+from mmseqseg.tensor import (NumericalError, ShapeError, Tensor, make_node,
+                             no_grad)
+
+
+def assert_bits(actual, expected):
+    """Equal dtype, shape and bytes: unlike assert_array_equal, a -0.0
+    does not match a 0.0."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
 
 
 def naive_conv2d(x, k, b, pad):
@@ -153,7 +162,37 @@ class TestConv2d:
                 ops.conv2d(x, k, None)
 
 
+def tap_loop_im2col(x, kh, kw):
+    """The tap-by-tap form of _im2col: a zeroed (N, C, kh, kw, H, W)
+    buffer, each tap filled from the shifted window of the unpadded
+    input that stays inside the image."""
+    n, c, h, w = x.shape
+    col = np.zeros((n, c, kh, kw, h, w), dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            sy, sx = dy - kh // 2, dx - kw // 2
+            ylo, yhi = max(0, -sy), min(h, h - sy)
+            xlo, xhi = max(0, -sx), min(w, w - sx)
+            col[:, :, dy, dx, ylo:yhi, xlo:xhi] = \
+                x[:, :, ylo + sy:yhi + sy, xlo + sx:xhi + sx]
+    return col.reshape(n, c * kh * kw, h * w)
+
+
 class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("hw", [4, 8, 32, 128])
+    def test_matches_tap_loop(self, dtype, k, hw):
+        rng = np.random.default_rng(hw + k)
+        x = rng.standard_normal((2, 3, hw, hw)).astype(dtype)
+        col = ops._im2col(x, k, k)
+        assert col.flags.c_contiguous
+        assert_bits(col, tap_loop_im2col(x, k, k))
+
+    def test_non_square_kernel_and_map(self):
+        x = np.random.default_rng(1).standard_normal((1, 2, 5, 7))
+        assert_bits(ops._im2col(x, 5, 3), tap_loop_im2col(x, 5, 3))
+
     @pytest.mark.parametrize("shape,kh,kw", [((3, 2, 5, 7), 3, 3),
                                              ((2, 1, 4, 3), 5, 3),
                                              ((1, 2, 2, 3), 7, 5)])
@@ -326,6 +365,33 @@ class TestMaxPool:
         np.testing.assert_array_equal(x.grad, expect)
 
 
+def three_pass_maxpool(x):
+    """A left-to-right np.maximum over the four window corners in
+    row-major order."""
+    corners = [x[:, :, a::2, b::2] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    out = np.maximum(corners[0], corners[1])
+    np.maximum(out, corners[2], out=out)
+    np.maximum(out, corners[3], out=out)
+    return out
+
+
+class TestTwoPassMaxPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_three_pass_with_ties(self, dtype):
+        x = np.random.default_rng(24).integers(0, 3, (2, 3, 16, 40)).astype(dtype)
+        assert_bits(ops.maxpool2x2(Tensor(x)).data, three_pass_maxpool(x))
+
+    def test_matches_three_pass_on_signed_zeros(self):
+        # every window over {-1, -0, 0, 1}: ties between -0.0 and 0.0
+        # are where the order of the maxima shows
+        values = np.array([-1.0, -0.0, 0.0, 1.0], dtype=np.float32)
+        win = values[np.indices((4, 4, 4, 4)).reshape(4, -1)]  # (4, 256)
+        x = np.empty((1, 1, 2, 2 * win.shape[1]), dtype=np.float32)
+        x[0, 0, 0, 0::2], x[0, 0, 0, 1::2] = win[0], win[1]
+        x[0, 0, 1, 0::2], x[0, 0, 1, 1::2] = win[2], win[3]
+        assert_bits(ops.maxpool2x2(Tensor(x)).data, three_pass_maxpool(x))
+
+
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(5)
@@ -425,6 +491,116 @@ class TestBatchNorm:
         bn = BatchNormParams(1)
         with pytest.raises(ShapeError):
             ops.batchnorm(Tensor(np.zeros((1, 1, 1, 1))), bn, "train")
+
+
+def separate_conv_bn_relu(x, kernel, bn, mode, groups):
+    return ops.relu(ops.batchnorm(ops.conv2d(x, kernel, groups=groups), bn,
+                                  mode))
+
+
+def conv_bn_setup(rng, dtype, groups):
+    """(x, kernel, bn) tensors of a grouped 3x3 conv-BN layer with
+    random scale, shift and running statistics."""
+    cin, cout = 2 * groups, 3 * groups
+    x = Tensor(rng.standard_normal((3, cin, 8, 6)).astype(dtype),
+               requires_grad=True)
+    kernel = Tensor(rng.standard_normal((cout, 2, 3, 3)).astype(dtype),
+                    requires_grad=True)
+    bn = BatchNormParams(cout, dtype=dtype)
+    bn.scale.data = (1.0 + 0.5 * rng.standard_normal(cout)).astype(dtype)
+    bn.shift.data = (0.5 * rng.standard_normal(cout)).astype(dtype)
+    bn.running_mean = rng.standard_normal(cout).astype(dtype)
+    bn.running_var = rng.uniform(0.5, 2.0, cout).astype(dtype)
+    return x, kernel, bn
+
+
+def twin(x, kernel, bn):
+    """Independent copies of conv_bn_setup's tensors."""
+    copy = BatchNormParams(bn.scale.size, dtype=bn.scale.dtype)
+    copy.scale.data, copy.shift.data = bn.scale.data.copy(), bn.shift.data.copy()
+    copy.running_mean = bn.running_mean.copy()
+    copy.running_var = bn.running_var.copy()
+    return (Tensor(x.data.copy(), requires_grad=True),
+            Tensor(kernel.data.copy(), requires_grad=True), copy)
+
+
+class TestConvBnRelu:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_bit_equal_to_three_ops(self, mode, groups):
+        rng = np.random.default_rng(groups)
+        x, kernel, bn = conv_bn_setup(rng, np.float32, groups)
+        x2, kernel2, bn2 = twin(x, kernel, bn)
+        ref = separate_conv_bn_relu(x, kernel, bn, mode, groups)
+        out = ops.conv_bn_relu(x2, kernel2, bn2, mode, groups)
+        assert_bits(out.data, ref.data)
+        assert out.data.flags.c_contiguous
+        assert (out.data == 0).any() and (out.data > 0).any()
+        assert_bits(bn2.running_mean, bn.running_mean)
+        assert_bits(bn2.running_var, bn.running_var)
+        coeffs = rng.standard_normal(ref.shape)
+        ops.project(ref, coeffs).backward()
+        ops.project(out, coeffs).backward()
+        for a, b in ((x2, x), (kernel2, kernel), (bn2.scale, bn.scale),
+                     (bn2.shift, bn.shift)):
+            assert_bits(a.grad, b.grad)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_graph_free_output_equal(self, mode):
+        # under no_grad the affine and the ReLU run in the conv buffer
+        x, kernel, bn = conv_bn_setup(np.random.default_rng(9), np.float32, 2)
+        x2, kernel2, bn2 = twin(x, kernel, bn)
+        recorded = ops.conv_bn_relu(x, kernel, bn, mode, 2)
+        with no_grad():
+            free = ops.conv_bn_relu(x2, kernel2, bn2, mode, 2)
+        assert recorded._backward is not None and free._backward is None
+        assert_bits(free.data, recorded.data)
+        assert_bits(bn2.running_mean, bn.running_mean)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grad_check(self, seed):
+        rng = np.random.default_rng(seed)
+        x, kernel, bn = conv_bn_setup(rng, np.float64, 2)
+        ts = {"x": x, "kernel": kernel, "scale": bn.scale, "shift": bn.shift}
+        coeffs = rng.standard_normal((3, 6, 8, 6))
+        report = grad_check(
+            lambda: ops.project(ops.conv_bn_relu(x, kernel, bn, "train", 2),
+                                coeffs), ts, tolerance=1e-4)
+        assert report.passed, report.max_rel_error
+
+    def test_one_node_and_one_finite_check(self, monkeypatch):
+        checked = []
+
+        def counting(arr, what):
+            checked.append(what)
+            return arr
+        monkeypatch.setattr(tensor, "check_finite", counting)
+        x, kernel, bn = conv_bn_setup(np.random.default_rng(3), np.float32, 1)
+        out = ops.conv_bn_relu(x, kernel, bn, "train", 1)
+        assert checked == ["conv_bn_relu output"]
+        assert set(map(id, out._parents)) == set(
+            map(id, (x, kernel, bn.scale, bn.shift)))
+
+    def test_masked_non_finite_conv_output_raises(self):
+        # the conv output -inf becomes -inf after the affine, which the
+        # ReLU would turn into 0: the check must come before the ReLU
+        x = Tensor(np.array([[[[-np.inf, 1.0], [2.0, 3.0]]]], np.float32))
+        kernel = Tensor(np.ones((1, 1, 1, 1), np.float32), requires_grad=True)
+        bn = BatchNormParams(1)
+        with pytest.raises(NumericalError):
+            ops.conv2d(x, kernel)
+        for record in (True, False):
+            with pytest.raises(NumericalError, match="conv_bn_relu"):
+                if record:
+                    ops.conv_bn_relu(x, kernel, bn, "eval", 1)
+                else:
+                    with no_grad():
+                        ops.conv_bn_relu(x, kernel, bn, "eval", 1)
+
+    def test_channel_mismatch_raises(self):
+        x, kernel, _ = conv_bn_setup(np.random.default_rng(4), np.float64, 1)
+        with pytest.raises(ShapeError, match="batchnorm channel mismatch"):
+            ops.conv_bn_relu(x, kernel, BatchNormParams(4), "eval", 1)
 
 
 class TestActivations:

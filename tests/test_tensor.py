@@ -1,5 +1,7 @@
 """Autograd core: no_grad recording and the graph-releasing backward sweep."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,49 @@ class TestNoGrad:
             with no_grad():
                 with no_grad():
                     1 / 0
-        assert tensor._recording
+        assert tensor._recording.get()
         assert ops.add(x, x)._backward is not None
+
+    def test_per_thread(self):
+        # A enters, B enters, A leaves, B leaves: at every step each
+        # thread sees only its own no_grad, and neither thread's exit
+        # turns recording back on for the other
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        steps = [threading.Event() for _ in range(4)]
+        seen = {}
+
+        def records():
+            return ops.add(x, x)._backward is not None
+
+        def thread_a():
+            seen["a before"] = records()
+            with no_grad():
+                steps[0].set()
+                steps[1].wait(5)
+                seen["a inside, b inside"] = records()
+            seen["a after, b inside"] = records()
+            steps[2].set()
+
+        def thread_b():
+            steps[0].wait(5)
+            with no_grad():
+                seen["b inside, a inside"] = records()
+                steps[1].set()
+                steps[2].wait(5)
+                seen["b inside, a after"] = records()
+            seen["b after"] = records()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        with no_grad():  # the main thread's no_grad reaches neither thread
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+        assert seen == {"a before": True, "a inside, b inside": False,
+                        "a after, b inside": True,
+                        "b inside, a inside": False,
+                        "b inside, a after": False, "b after": True}
+        assert records()
 
 
 class TestBackwardReleasesGraph:
