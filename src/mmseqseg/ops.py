@@ -2,14 +2,17 @@
 
 All spatial ops take NCHW input and return C-contiguous NCHW arrays.
 Convolution is same-padded cross-correlation (no kernel flip), lowered
-to batched im2col: each image's patches form a (C*kh*kw, H*W) matrix,
-made as one zero-padded copy of the input and one copy of its
-(N, C, kh, kw, H, W) window view. The product of the (Cout, C*kh*kw)
-kernel matrix with it is already the (Cout, H*W) NCHW output, so neither
-the patches nor the result is transposed; a grouped convolution splits
-both into G blocks and takes their G products in one batched matmul.
-The backward scatters the patch gradients tap by tap (the slices of
-each tap are planned once per shape and cached).
+to im2col one image at a time: an image's patches form a
+(C*kh*kw, H*W) matrix, made as one zero-padded copy of the image and
+one copy of its (C, kh, kw, H, W) window view. The product of the
+(Cout, C*kh*kw) kernel matrix with it is already that image's
+(Cout, H*W) slab of the NCHW output, written in place, so neither the
+patches nor the result is transposed; a grouped convolution splits both
+into G blocks and takes their G products in one matmul. No patch matrix
+is kept for the backward: it rebuilds each image's patches from the
+input, takes the kernel gradient image by image and scatters the patch
+gradients tap by tap (the slices of each tap are planned once per shape
+and cached).
 
 `conv_bn_relu` is a convolution, its batch norm and a ReLU as one graph
 node, equal bit for bit to `relu(batchnorm(conv2d(...)))`: it shares
@@ -90,18 +93,36 @@ def _conv(x, kernel, groups):
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("same-padding needs odd kernel extents")
 
-    col = _im2col(x.data, kh, kw).reshape(n, groups, -1, h * w)
+    # No patch matrix outlives the gemm that reads it: each frame's
+    # (G, C/G*kh*kw, H*W) patches are built, used and dropped in turn, and
+    # the backward rebuilds them from x.data, which the graph holds as a
+    # parent. That is exact because nothing writes into an op's input
+    # after the op has run: the one in-place write, conv_bn_relu's ReLU,
+    # happens before its output is consumed.
     w_col = kernel.data.reshape(groups, cout // groups, -1)
-    out = (w_col @ col).reshape(n, cout, h, w)  # from (N, G, Cout/G, H*W)
+    out = np.empty((n, cout, h, w), dtype=np.result_type(w_col, x.data))
+
+    def frame_col(i):
+        return _im2col(x.data[i:i + 1], kh, kw).reshape(groups, -1, h * w)
+
+    for i in range(n):
+        np.matmul(w_col, frame_col(i),
+                  out=out[i].reshape(groups, cout // groups, h * w))
 
     def backward(g):
         g = g.reshape(n, groups, cout // groups, h * w)
         if kernel.requires_grad:
-            dk = (g @ col.transpose(0, 1, 3, 2)).sum(axis=0)
+            # added frame by frame, in the order a sum over frames adds
+            dk = g[0] @ frame_col(0).transpose(0, 2, 1)
+            for i in range(1, n):
+                dk += g[i] @ frame_col(i).transpose(0, 2, 1)
             kernel._accumulate(dk.reshape(kernel.shape))
         if x.requires_grad:
-            x._accumulate(_col2im(w_col.transpose(0, 2, 1) @ g, x.shape,
-                                  kh, kw))
+            dx = np.empty(x.shape, dtype=np.result_type(w_col, g))
+            for i in range(n):
+                dx[i] = _col2im(w_col.transpose(0, 2, 1) @ g[i],
+                                (1,) + x.shape[1:], kh, kw)[0]
+            x._accumulate(dx)
 
     return out, backward
 
@@ -113,8 +134,8 @@ def conv2d(x, kernel, bias=None, groups=1):
     With G groups, input channels g*Cin/G ... (g+1)*Cin/G - 1 feed only
     output channels g*Cout/G ... (g+1)*Cout/G - 1 (the grouped
     convolution of AlexNet and ResNeXt): the patches of each image split
-    into G row blocks, and one batched matmul takes the product of each
-    group's kernel matrix with its block. G = 1 is the plain convolution.
+    into G row blocks, and one matmul takes the product of each group's
+    kernel matrix with its block. G = 1 is the plain convolution.
     """
     out, conv_backward = _conv(x, kernel, groups)
     if bias is not None:

@@ -6,9 +6,11 @@ closure. Operations live in ops.py and build the graph; calling
 reachable tensor with ``requires_grad=True``.
 
 Memory: inside ``no_grad()`` ops record no parents and no backward
-closure, so the buffers a closure would save (im2col columns, pooling
-inputs, batch-norm inputs) die as soon as the op returns;
-``network.forward`` (and with it predict and eval) runs that way.
+closure, so the buffers a closure would save (pooling inputs,
+batch-norm inputs) die as soon as the op returns; ``network.forward``
+(and with it predict and eval) runs that way. A convolution saves no
+im2col patches even when recording: its backward rebuilds each image's
+patches from the input, which the graph already holds as a parent.
 Recording is per thread: ``no_grad()`` in one thread leaves every other
 thread's ops recording. The backward sweep releases each node's closure
 and parents once it has run, so a saved buffer is freed as soon as it is

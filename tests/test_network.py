@@ -368,6 +368,25 @@ class TestPredictVolume:
         out = predict_volume(params, vol, seq_len=2)
         assert out.shape == (5, 16, 16)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_class_argmax_equals_argmax_on_ties(self, dtype):
+        # pixel (0, i) ties classes a and b of the i-th pair at the
+        # maximum, pixel (1, 0) ties all five, and the rest tie often
+        k = 5
+        rng = np.random.default_rng(12)
+        probs = rng.choice([0.0, 0.25, 0.5], size=(3, k, 4, 16)).astype(dtype)
+        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        for i, (a, b) in enumerate(pairs):
+            pixel = probs[:, :, 0, i]
+            pixel[...] = 0.1
+            pixel[:, [a, b]] = 0.9
+        probs[:, :, 1, 0] = 0.2
+        out = np.empty((3, 4, 16), dtype=np.uint8)
+        network._class_argmax(probs, out)
+        np.testing.assert_array_equal(out, probs.argmax(axis=1))
+        assert [out[0, 0, i] for i in range(len(pairs))] == [a for a, _ in pairs]
+        assert (out[:, 1, 0] == 0).all()
+
     @staticmethod
     def padded_predict(params, volume, seq_len):
         """Reference labels: a final partial window is padded to seq_len

@@ -1,5 +1,7 @@
 """Layer primitive contracts: forward oracles and gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,75 @@ class TestIm2col:
         np.testing.assert_allclose((col * y).sum(),
                                    (x * ops._col2im(y, shape, kh, kw)).sum(),
                                    rtol=1e-12)
+
+
+def batched_conv(x, kernel, groups, g):
+    """The batched form of the convolution: one (N, C*kh*kw, H*W) patch
+    matrix for every image, one batched matmul, and a kernel gradient
+    summed over the image axis. Returns (out, dkernel, dx) for the
+    upstream gradient g."""
+    n, _, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    col = ops._im2col(x, kh, kw).reshape(n, groups, -1, h * w)
+    w_col = kernel.reshape(groups, cout // groups, -1)
+    out = (w_col @ col).reshape(n, cout, h, w)
+    g = g.reshape(n, groups, cout // groups, h * w)
+    dk = (g @ col.transpose(0, 1, 3, 2)).sum(axis=0).reshape(kernel.shape)
+    dx = ops._col2im(w_col.transpose(0, 2, 1) @ g, x.shape, kh, kw)
+    return out, dk, dx
+
+
+class TestPerFrameConv:
+    """The convolution builds one image's patches at a time and rebuilds
+    them in the backward; its output and both gradients equal the
+    batched form bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("grads", ["x", "kernel", "both"])
+    def test_bit_equal_to_batched(self, dtype, groups, n, kh, kw, grads):
+        rng = np.random.default_rng(7 * n + kh + groups)
+        x = rng.standard_normal((n, 2 * groups, 7, 6)).astype(dtype)
+        k = rng.standard_normal((3 * groups, 2, kh, kw)).astype(dtype)
+        g = rng.standard_normal((n, 3 * groups, 7, 6)).astype(dtype)
+        xt = Tensor(x, requires_grad=grads in ("x", "both"))
+        kt = Tensor(k, requires_grad=grads in ("kernel", "both"))
+        out = ops.conv2d(xt, kt, groups=groups)
+        ops.project(out, g).backward()  # hands the conv exactly g
+        ref_out, ref_dk, ref_dx = batched_conv(x, k, groups, g)
+        assert_bits(out.data, ref_out)
+        if xt.requires_grad:
+            assert_bits(xt.grad, ref_dx)
+        else:
+            assert xt.grad is None
+        if kt.requires_grad:
+            assert_bits(kt.grad, ref_dk)
+        else:
+            assert kt.grad is None
+
+    def test_no_patch_matrix_held(self):
+        # a graph-built conv-BN-ReLU layer: while it runs and while its
+        # node lives, memory stays below its input, its two outputs and
+        # one image's patches, where the batched form held all N
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((3, 32, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        kernel = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32),
+                        requires_grad=True)
+        bn = BatchNormParams(32)
+        frame_patches = x.data[0].nbytes * 9
+        bound = 3 * x.data.nbytes + frame_patches
+        tracemalloc.start()
+        try:
+            node = ops.conv_bn_relu(x, kernel, bn, "train", 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert node._backward is not None
+        assert peak < bound, (peak, bound)
+        assert held < bound - frame_patches, (held, bound)
 
 
 class TestLayout:
