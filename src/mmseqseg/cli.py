@@ -52,11 +52,11 @@ def parse_config_file(path):
     return out
 
 
-def resolve_config(file_values=None, overrides=None):
+def resolve_config(file_values, overrides):
     """(ModelConfig, TrainConfig) from the dataclass defaults, then the
     config file, then flag overrides (flags win)."""
-    raw = dict(file_values or {})
-    raw.update({k: str(v) for k, v in (overrides or {}).items() if v is not None})
+    raw = dict(file_values)
+    raw.update({k: str(v) for k, v in overrides.items() if v is not None})
     try:
         return parse_config(ModelConfig, raw), parse_config(TrainConfig, raw)
     except ValueError as e:
@@ -80,11 +80,13 @@ def write_text(path, text):
 
 
 def load_cases(data_dir):
-    """Reads case_<i>_img.mmv / case_<i>_lbl.mmv pairs, sorted by index;
-    each image comes back normalized. An image and its labels must
+    """Reads case_<i>_img.mmv / case_<i>_lbl.mmv pairs into a dict from
+    label file name to (normalized image, labels). Cases come in the
+    string order of their file names, so case_10 precedes case_2, and
+    train's windows follow this order. An image and its labels must
     share (D, H, W), and H and W must divide by 2**N_SCALES, so a bad
     case fails before any training or prediction runs."""
-    cases = []
+    cases = {}
     names = sorted(n for n in os.listdir(data_dir) if n.endswith("_img.mmv"))
     if not names:
         raise FormatError(f"no case_*_img.mmv files in {data_dir}")
@@ -105,8 +107,16 @@ def load_cases(data_dir):
             raise FormatError(
                 f"{name} has H x W {img.shape[2]}x{img.shape[3]}; both must "
                 f"be divisible by {div}")
-        cases.append((normalize_volume(img), lbl))
+        cases[lbl_name] = (normalize_volume(img), lbl)
     return cases
+
+
+def check_labels(cases, k):
+    """A data error naming the first label file with a value of k or more."""
+    for lbl_name, (_, lbl) in cases.items():
+        if lbl.max() >= k:
+            raise FormatError(f"{lbl_name} holds label {lbl.max()}, but "
+                              f"class_count is {k}")
 
 
 def cmd_gen(args):
@@ -124,9 +134,9 @@ def cmd_gen(args):
     for i in range(args.count):
         volume, labels = gen_synthetic_case(args.seed + i, dims)
         atomic_write(os.path.join(args.out, f"case_{i}_img.mmv"),
-                     lambda p, v=volume: write_volume(p, v, "modal"))
+                     lambda p: write_volume(p, volume, "modal"))
         atomic_write(os.path.join(args.out, f"case_{i}_lbl.mmv"),
-                     lambda p, l=labels: write_volume(p, l, "label"))
+                     lambda p: write_volume(p, labels, "label"))
     print(f"wrote {args.count} case pairs to {args.out}")
     return EXIT_OK
 
@@ -141,7 +151,8 @@ def cmd_train(args):
     }
     model_cfg, train_cfg = resolve_config(file_values, overrides)
     cases = load_cases(args.data)
-    dataset = SequenceDataset(cases, train_cfg.sequence_length)
+    check_labels(cases, model_cfg.class_count)
+    dataset = SequenceDataset(list(cases.values()), train_cfg.sequence_length)
     params = init_params(model_cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -159,15 +170,16 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cases = load_cases(args.data)
-    truths = [lbl for _, lbl in cases]
+    truths = [lbl for _, lbl in cases.values()]
     if args.use_truth:
         k = max(int(lbl.max()) for lbl in truths) + 1
         preds = truths
     else:
         params, config = load_checkpoint(args.model)
         k = config.class_count
+        check_labels(cases, k)
         preds = [predict_volume(params, img, config.sequence_length)
-                 for img, _ in cases]
+                 for img, _ in cases.values()]
     report = metrics.evaluate(preds, truths, k)
     write_text(args.report, report.to_text())
     print(report.to_text(), end="")
@@ -261,7 +273,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError, ValueError) as e:
+    except (FormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

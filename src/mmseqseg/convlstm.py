@@ -28,7 +28,7 @@ class ConvLstmParams:
 
     GATES = ("i", "f", "c", "o")
 
-    def __init__(self, in_channels, hidden_channels, kernel_size=3,
+    def __init__(self, in_channels, hidden_channels, kernel_size,
                  dtype=np.float32):
         if kernel_size % 2 == 0:
             raise ShapeError("convLSTM kernel size must be odd for same padding")
@@ -39,11 +39,11 @@ class ConvLstmParams:
         self.wh = z(rows, hidden_channels, k, k)
         self.b = z(rows)
 
-    def named_tensors(self, prefix=""):
+    def named_tensors(self, prefix):
         return {f"{prefix}wx": self.wx, f"{prefix}wh": self.wh,
                 f"{prefix}b": self.b}
 
-    def gate_records(self, prefix=""):
+    def gate_records(self, prefix):
         """Each gate's input kernel, recurrent kernel and bias as views
         into the stacks, named `W_x<g>`, `W_h<g>` and `b_<g>`."""
         ch, out = self.hidden_channels, {}

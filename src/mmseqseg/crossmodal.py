@@ -17,7 +17,7 @@ from .tensor import ShapeError, Tensor, make_node
 class CmcParams:
     """weights (C, M): per-channel modality filter; bias (C,)."""
 
-    def __init__(self, channels, modalities=4, dtype=np.float32):
+    def __init__(self, channels, modalities, dtype=np.float32):
         self.weights = Tensor(
             np.full((channels, modalities), 1.0 / modalities, dtype=dtype),
             requires_grad=True,

@@ -81,7 +81,7 @@ def check_softmax_ce(seed, tol):
     labels = rng.integers(0, 5, size=(2, 4, 4))
     wts = rng.uniform(0.5, 2.0, size=5)
     return grad_check(
-        lambda: ops.softmax_ce_loss(ts["logits"], labels, wts)[0],
+        lambda: ops.softmax_ce_loss(ts["logits"], labels, wts),
         ts, tolerance=tol)
 
 
@@ -107,7 +107,7 @@ def check_mrf(seed, tol):
 
 def _tiny_lstm(rng):
     params = ConvLstmParams(2, 2, 3, dtype=np.float64)
-    for name, t in params.named_tensors().items():
+    for t in params.named_tensors("").values():
         t.data = 0.3 * rng.standard_normal(t.shape)
     return params
 
@@ -115,7 +115,7 @@ def _tiny_lstm(rng):
 def check_convlstm_step(seed, tol):
     rng = np.random.default_rng(seed)
     params = _tiny_lstm(rng)
-    ts = dict(params.named_tensors())
+    ts = dict(params.named_tensors(""))
     ts["x"] = _t(rng, 1, 2, 4, 4)
     ts["h0"] = _t(rng, 1, 2, 4, 4)
     ts["c0"] = _t(rng, 1, 2, 4, 4)
@@ -133,7 +133,7 @@ def check_convlstm_sequence(seed, tol):
     (3, 2, 4, 4) hidden maps."""
     rng = np.random.default_rng(seed)
     params = _tiny_lstm(rng)
-    ts = dict(params.named_tensors())
+    ts = dict(params.named_tensors(""))
     ts["x"] = _t(rng, 3, 2, 4, 4)
     coeffs = rng.standard_normal((3, 2, 4, 4))
     return grad_check(
@@ -155,7 +155,7 @@ def check_end_to_end(seed, tol):
     ts = params.named_tensors()
     return grad_check(
         lambda: ops.softmax_ce_loss(
-            forward_logits(params, x_seq, "train"), labels, wts)[0],
+            forward_logits(params, x_seq, "train"), labels, wts),
         ts, tolerance=tol, step_scale=1e-6, max_entries=5,
         rng=np.random.default_rng(seed + 1))
 
@@ -177,7 +177,7 @@ CHECKS = [
 ]
 
 
-def run_suite(seeds=(0, 1, 2), tol=None):
+def run_suite(seeds, tol=None):
     """Returns list of (name, seed, report) over the whole battery."""
     results = []
     for name, fn, default_tol in CHECKS:

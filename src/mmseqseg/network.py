@@ -36,7 +36,9 @@ N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
 @dataclass
 class ModelConfig:
     """Model half of the run configuration. The fields of ModelConfig
-    and training.TrainConfig are the config-file keys and defaults."""
+    and training.TrainConfig are the config-file keys and defaults.
+    input_height and input_width are validated and recorded, but
+    nothing reads them: any H x W divisible by 2**N_SCALES runs."""
 
     modality_count: int = 4
     class_count: int = 5
@@ -122,7 +124,7 @@ class ConvBnParams:
     bias: batch norm subtracts the channel mean, which cancels one, and
     its `shift` is the per-channel offset."""
 
-    def __init__(self, cin, cout, dtype=np.float32):
+    def __init__(self, cin, cout, dtype):
         self.kernel = Tensor(np.zeros((cout, cin, 3, 3), dtype=dtype),
                              requires_grad=True)
         self.bn = BatchNormParams(cout, dtype=dtype)
@@ -131,7 +133,7 @@ class ConvBnParams:
 class DecoderStageParams:
     """Stride-2 transposed convolution then conv + batch norm."""
 
-    def __init__(self, cin, cout, dtype=np.float32):
+    def __init__(self, cin, cout, dtype):
         self.up_kernel = Tensor(np.zeros((cin, cout, 2, 2), dtype=dtype),
                                 requires_grad=True)
         self.up_bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
@@ -258,7 +260,7 @@ def init_params(config, dtype=np.float32):
                                   dtype).transpose(1, 0, 2, 3)
         elif name.endswith(".kernel"):
             view[...] = he_kernel(rng, view.shape, dtype)
-    params.lstm.gate_records()["b_f"][...] = 1.0
+    params.lstm.gate_records("")["b_f"][...] = 1.0
     return params
 
 

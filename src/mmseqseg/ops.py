@@ -471,8 +471,8 @@ def softmax_ce_loss(logits, labels, class_weights):
     """Per-pixel weighted softmax cross-entropy.
 
     logits (N,K,H,W), labels (N,H,W) integer class ids, class_weights (K,).
-    Returns (scalar loss tensor, probability array). Loss is the plain
-    mean over pixels of weight[label] * (-log p[label]).
+    Returns the scalar loss tensor, the plain mean over pixels of
+    weight[label] * (-log p[label]).
     """
     if logits.ndim != 4:
         raise ShapeError("softmax_ce_loss expects NKHW logits")
@@ -507,6 +507,5 @@ def softmax_ce_loss(logits, labels, class_weights):
             d *= pix_w[:, None, :, :] * (float(g) / npix)
             logits._accumulate(d)
 
-    out = make_node(np.asarray(loss, dtype=logits.dtype), (logits,), backward,
-                    "softmax_ce_loss output")
-    return out, probs
+    return make_node(np.asarray(loss, dtype=logits.dtype), (logits,), backward,
+                     "softmax_ce_loss output")

@@ -155,7 +155,7 @@ class Tensor:
             node.grad = g if node.grad is None else g + node.grad
 
 
-def make_node(data, parents, backward, what="op output"):
+def make_node(data, parents, backward, what):
     """Build a graph tensor from already-computed forward data. Under
     no_grad() the output is a plain constant and `backward` is dropped."""
     check_finite(data, what)

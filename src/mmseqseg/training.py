@@ -104,7 +104,7 @@ class SequenceDataset:
         return np.ascontiguousarray(x_seq), np.ascontiguousarray(y_seq)
 
 
-def sample_phase1(dataset, rng, batch_size=1):
+def sample_phase1(dataset, rng, batch_size):
     """Uniform draw over tumor-bearing sequences."""
     if not dataset.tumor_windows:
         raise ValueError("no tumor-bearing sequence available for phase 1")
@@ -112,7 +112,7 @@ def sample_phase1(dataset, rng, batch_size=1):
     return [dataset.fetch(dataset.tumor_windows[i]) for i in picks]
 
 
-def sample_natural(dataset, rng, batch_size=1):
+def sample_natural(dataset, rng, batch_size):
     """Uniform draw over all sequences (phase 2)."""
     picks = rng.integers(0, len(dataset.windows), size=batch_size)
     return [dataset.fetch(dataset.windows[i]) for i in picks]
@@ -174,7 +174,7 @@ def train_step(params, named, batch, alpha, opt_state, lr, config,
     inv_b = 1.0 / len(batch)
     for x_seq, y_seq in batch:
         logits = forward_logits(params, x_seq, mode=bn_mode)
-        loss, _ = softmax_ce_loss(logits, y_seq, alpha.astype(x_seq.dtype))
+        loss = softmax_ce_loss(logits, y_seq, alpha.astype(x_seq.dtype))
         total += float(loss.data)
         loss.backward(seed=inv_b)  # batch gradients average
 

@@ -42,7 +42,7 @@ class TestConfig:
     def test_parse_and_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(TINY_CFG)
-        model, train = resolve_config(parse_config_file(path))
+        model, train = resolve_config(parse_config_file(path), {})
         assert model.encoder_channels == (2, 3, 4, 5)
         assert train.phase1_steps == 0
         assert train.lr_phase1 == 1e-4  # untouched default
@@ -263,6 +263,63 @@ class TestCaseExtents:
                    "--out", str(out)) == EXIT_DATA
         assert "case_1_img.mmv" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLabelRange:
+    """A label at or above class_count is a data error that names its
+    file, found before train makes --out and before eval predicts."""
+
+    @pytest.fixture
+    def corpus(self, tiny_data):
+        path = tiny_data / "case_1_lbl.mmv"
+        lbl, _ = read_volume(path)
+        lbl[0, 0, 0] = 7
+        write_volume(path, lbl, "label")
+        return tiny_data
+
+    def test_train_rejects_before_making_output(self, corpus, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        assert run("train", "--data", str(corpus), "--out", str(out)) \
+            == EXIT_DATA
+        assert "case_1_lbl.mmv holds label 7" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_rejects_before_predicting(self, corpus, tmp_path, capsys,
+                                            monkeypatch):
+        predicted = []
+        monkeypatch.setattr(cli, "predict_volume",
+                            lambda *a: predicted.append(a))
+        ckpt = tmp_path / "m.mmck"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        report = tmp_path / "report.txt"
+        assert run("eval", "--model", str(ckpt), "--data", str(corpus),
+                   "--report", str(report)) == EXIT_DATA
+        assert "case_1_lbl.mmv holds label 7" in capsys.readouterr().err
+        assert predicted == [] and not report.exists()
+
+
+class TestPathMixups:
+    """A file where a directory belongs, or the reverse, exits 2 with
+    one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--data", "{file}", "--report", "{dir}/r.txt", "--use-truth"),
+        ("train", "--data", "{data}", "--out", "{file}"),
+        ("gen", "--out", "{file}"),
+        ("predict", "--model", "{ckpt}", "--volume", "{dir}",
+         "--out", "{dir}/o.mmv"),
+    ], ids=["eval-data-file", "train-out-file", "gen-out-file",
+            "predict-volume-dir"])
+    def test_data_error(self, argv, tiny_data, tmp_path, capsys):
+        file = tmp_path / "a_file"
+        file.write_text("")
+        ckpt = tmp_path / "m.mmck"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        paths = dict(file=file, dir=tmp_path, data=tiny_data, ckpt=ckpt)
+        assert run(*(a.format(**paths) for a in argv)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEval:

@@ -12,7 +12,7 @@ from mmseqseg.tensor import ShapeError, Tensor, make_node
 
 def make_params(rng, cx=2, ch=2, k=3, scale=0.3):
     p = ConvLstmParams(cx, ch, k, dtype=np.float64)
-    for t in p.named_tensors().values():
+    for t in p.named_tensors("").values():
         t.data = scale * rng.standard_normal(t.shape)
     return p
 
@@ -31,7 +31,7 @@ class TestStep:
 
     def test_saturated_forget_gate_holds_memory(self):
         p = ConvLstmParams(1, 1, 3, dtype=np.float64)
-        p.gate_records()["b_f"][...] = 30.0  # forget gate ~ 1
+        p.gate_records("")["b_f"][...] = 30.0  # forget gate ~ 1
         c_prev = np.random.default_rng(0).standard_normal((1, 1, 4, 4))
         state = ConvLstmState(Tensor(np.zeros((1, 1, 4, 4))), Tensor(c_prev))
         _, nxt = convlstm_step(Tensor(np.zeros((1, 1, 4, 4))), state, p)
@@ -42,8 +42,8 @@ class TestStep:
         # hand-evaluated scalar LSTM over 5 steps
         rng = np.random.default_rng(1)
         p = ConvLstmParams(1, 1, 1, dtype=np.float64)
-        w = {n: rng.standard_normal() for n in p.gate_records()}
-        for n, view in p.gate_records().items():
+        w = {n: rng.standard_normal() for n in p.gate_records("")}
+        for n, view in p.gate_records("").items():
             view[...] = w[n]
         xs = rng.standard_normal(5)
 
@@ -120,11 +120,11 @@ class TestSequence:
 
     def test_parameter_count_constant_in_length(self):
         p = ConvLstmParams(3, 5, 3)
-        count = sum(t.size for t in p.named_tensors().values())
+        count = sum(t.size for t in p.named_tensors("").values())
         for t_len in (1, 3, 5):
             rng = np.random.default_rng(4)
             convlstm_sequence(Tensor(rng.standard_normal((t_len, 3, 4, 4))), p)
-            assert sum(t.size for t in p.named_tensors().values()) == count
+            assert sum(t.size for t in p.named_tensors("").values()) == count
 
     def test_bptt_gradcheck(self):
         report = check_convlstm_sequence(0, 1e-4)
@@ -142,7 +142,7 @@ def gate_rows(stack, g):
         full[lo:lo + ch] = grad
         stack._accumulate(full)
 
-    return make_node(stack.data[lo:lo + ch], (stack,), backward)
+    return make_node(stack.data[lo:lo + ch], (stack,), backward, "gate rows")
 
 
 def reference_step(x_t, state, p):
@@ -168,7 +168,7 @@ def time_row(x, t):
         full[t:t + 1] = grad
         x._accumulate(full)
 
-    return make_node(x.data[t:t + 1], (x,), backward)
+    return make_node(x.data[t:t + 1], (x,), backward, "time row")
 
 
 def reference_sequence(x, p):
@@ -218,7 +218,7 @@ class TestStackedCell:
         rng = np.random.default_rng(11)
         x, h0, c0 = leaves((self.N, self.CX, self.H, self.W),
                            *[(self.N, self.CH, self.H, self.W)] * 2, rng=rng)
-        tensors = list(p.named_tensors().values()) + [x, h0, c0]
+        tensors = list(p.named_tensors("").values()) + [x, h0, c0]
         results = []
         for step in (convlstm_step, reference_step):
             h, nxt = step(x, ConvLstmState(h0, c0), p)
@@ -233,7 +233,7 @@ class TestStackedCell:
         for t_len in (1, 3):
             x, = leaves((t_len, self.CX, self.H, self.W),
                         rng=np.random.default_rng(21))
-            tensors = list(p.named_tensors().values()) + [x]  # wx, wh, b, x
+            tensors = list(p.named_tensors("").values()) + [x]  # wx, wh, b, x
             vals, grads = values_and_grads([convlstm_sequence(x, p)],
                                            tensors, 22)
             ref_vals, ref_grads = values_and_grads(

@@ -20,7 +20,7 @@ TINY = dict(encoder_channels=(2, 3, 4, 5), input_height=16, input_width=16,
 class TestInit:
     def test_convlstm_kernels_orthogonal(self):
         params = init_params(ModelConfig(seed=3), dtype=np.float64)
-        for name, w in params.lstm.gate_records().items():
+        for name, w in params.lstm.gate_records("").items():
             if not name.startswith("W_"):
                 continue
             k = w.reshape(w.shape[0], -1)
@@ -41,7 +41,7 @@ class TestInit:
                                   b.encoders[0].kernel.data)
 
     def test_forget_bias_one_others_zero(self):
-        gates = init_params(ModelConfig(seed=0)).lstm.gate_records()
+        gates = init_params(ModelConfig(seed=0)).lstm.gate_records("")
         np.testing.assert_array_equal(gates["b_f"], 1.0)
         np.testing.assert_array_equal(gates["b_i"], 0.0)
         np.testing.assert_array_equal(gates["b_c"], 0.0)
@@ -267,8 +267,8 @@ class TestGraphFree:
     def test_backward_releases_every_interior_node(self):
         params = init_params(ModelConfig(seed=5, **TINY))
         (x_seq, y_seq), = _batch(params.config, 1, 6)
-        loss, _ = ops.softmax_ce_loss(forward_logits(params, x_seq), y_seq,
-                                      np.ones(5, dtype=np.float32))
+        loss = ops.softmax_ce_loss(forward_logits(params, x_seq), y_seq,
+                                   np.ones(5, dtype=np.float32))
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
         assert len(interior) == 37  # 36 op outputs and the loss

@@ -37,4 +37,4 @@ def settable_values():
 
 
 def test_settable_value_pins():
-    assert settable_values() == (14, 24, 36)
+    assert settable_values() == (14, 24, 22)

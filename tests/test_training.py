@@ -105,7 +105,7 @@ class TestSampling:
     def test_no_qualifying_sequence_raises(self):
         ds = tiny_dataset(tumor_cases=0, empty_cases=1)
         with pytest.raises(ValueError):
-            sample_phase1(ds, np.random.default_rng(0))
+            sample_phase1(ds, np.random.default_rng(0), 1)
 
     def test_uniform_over_qualifying(self):
         # chi-square against uniform within 3 sigma over 10k draws
