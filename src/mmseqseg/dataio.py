@@ -59,17 +59,33 @@ def _bytes_left(f):
     return os.fstat(f.fileno()).st_size - f.tell()
 
 
-def _read_exact(f, n, what):
+def _check_left(f, n, what):
     # n may come from a forged header: check it against the bytes left in
-    # the file before read() allocates n bytes
+    # the file before anything of n bytes is allocated
     left = _bytes_left(f)
     if n > left:
         raise TruncatedPayloadError(
             f"{what} declares {n} bytes, the file has {left} left")
+
+
+def _read_exact(f, n, what):
+    _check_left(f, n, what)
     buf = f.read(n)
     if len(buf) != n:
         raise TruncatedPayloadError(f"truncated payload while reading {what}")
     return buf
+
+
+def _read_array(f, shape, dtype, what):
+    # a new array of shape and dtype read straight from the file, with no
+    # bytes object in between, under _read_exact's checks
+    dtype = np.dtype(dtype)
+    n = math.prod(shape) * dtype.itemsize
+    _check_left(f, n, what)
+    arr = np.empty(shape, dtype=dtype)
+    if f.readinto(arr.reshape(-1).view(np.uint8)) != n:
+        raise TruncatedPayloadError(f"truncated payload while reading {what}")
+    return arr
 
 
 def write_volume(path, volume, kind):
@@ -109,15 +125,12 @@ def read_volume(path):
             raise FormatError(f"volume declares an empty extent {(c, d, h, w)}")
         (code,) = struct.unpack("<B", _read_exact(f, 1, "dtype code"))
         if code == DTYPE_F32:
-            n = c * d * h * w
-            raw = _read_exact(f, 4 * n, "f32 payload")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(c, d, h, w).copy()
+            arr = _read_array(f, (c, d, h, w), "<f4", "f32 payload")
             kind = "modal"
         elif code == DTYPE_U8:
             if c != 1:
                 raise FormatError(f"label volume declares {c} channels, not 1")
-            raw = _read_exact(f, d * h * w, "u8 payload")
-            arr = np.frombuffer(raw, dtype=np.uint8).reshape(d, h, w).copy()
+            arr = _read_array(f, (d, h, w), np.uint8, "u8 payload")
             kind = "label"
         else:
             raise UnknownDtypeError(f"unknown dtype code {code}")
@@ -180,9 +193,7 @@ def load_checkpoint(path):
                 raise FormatError(f"{name} declares {ndim} dims, a model "
                                   f"tensor has at most {MAX_NDIM}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
-            n = math.prod(dims)
-            raw = _read_exact(f, 4 * n, f"payload of {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            tensors[name] = _read_array(f, dims, "<f4", f"payload of {name}")
 
     def stored(name, like):
         if name not in tensors:
@@ -242,7 +253,9 @@ def normalize_volume(volume):
     for c in range(volume.shape[0]):
         ch = volume[c]
         std = ch.std()
-        out[c] = (ch - ch.mean()) / (std if std > 0 else 1.0)
+        # (ch - mean) / std written into the output, with no temporaries
+        np.subtract(ch, ch.mean(), out=out[c])
+        out[c] /= std if std > 0 else 1.0
     return out
 
 

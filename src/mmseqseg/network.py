@@ -19,6 +19,10 @@ and relu. `ModelParams.records()` names modality m's and each convLSTM
 gate's slices for the checkpoint.
 """
 
+import collections
+import functools
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -288,20 +292,25 @@ def _encode(params, x_seq, mode):
     return cmc_maps
 
 
-def forward_logits(params, x_seq, mode="train", intermediates=None):
-    """Full forward pass to classifier logits (T, K, H, W)."""
-    cmc_maps = _encode(params, x_seq, mode)
-    if intermediates is not None:
-        intermediates["cmc"] = [c.data for c in cmc_maps]
-
-    # the deepest CMC map (T, C, h, w) is the T steps of one sequence
-    d = convlstm_sequence(cmc_maps[-1], params.lstm)
-
+def _decode(params, cmc_maps, d, mode):
+    """The decoder, with the CMC map of each scale fused in, and the
+    classifier: logits (T, K, H, W) from _encode's CMC maps of T frames
+    and the convLSTM's (T, C, h, w) output d for them."""
     for stage, s in zip(params.decoder, range(N_SCALES - 1, -1, -1)):
         d = mrf_fuse(cmc_maps[s], d)
         d = conv_transpose2d(d, stage.up_kernel, stage.up_bias)
         d = conv_bn_relu(d, stage.conv.kernel, stage.conv.bn, mode, 1)
     return conv2d(d, params.cls_kernel, params.cls_bias)
+
+
+def forward_logits(params, x_seq, mode="train", intermediates=None):
+    """Full forward pass to classifier logits (T, K, H, W)."""
+    cmc_maps = _encode(params, x_seq, mode)
+    if intermediates is not None:
+        intermediates["cmc"] = [c.data for c in cmc_maps]
+    # the deepest CMC map (T, C, h, w) is the T steps of one sequence
+    d = convlstm_sequence(cmc_maps[-1], params.lstm)
+    return _decode(params, cmc_maps, d, mode)
 
 
 def forward(params, sequence, mode="eval", intermediates=None):
@@ -324,16 +333,143 @@ def predict_volume(params, volume, seq_len):
     depth, so a slice never sees a later one, and every other layer
     works per slice (batch norm runs on its running statistics). Ties go
     to the lowest class id.
+
+    Because every layer but the convLSTM works per slice, a window runs
+    as frame tasks: the encoder and CMC of each frame, the convLSTM once
+    over the window on this thread, then the decoder, classifier and
+    argmax of each frame. The tasks are shared by this thread and one
+    worker thread per further core (see _frame_threads). While this
+    thread runs a window's convLSTM, the workers start on the encoder
+    tasks of the next window, and the window's decoder tasks then join
+    those in one batch, so at most one window is encoded ahead. Each
+    frame's values are the ones forward() computes for it over the whole
+    window, bit for bit.
     """
     volume = np.asarray(volume)
     m, d, h, w = volume.shape
     if d < 1:
         raise ShapeError("volume has no depth")
     out = np.empty((d, h, w), dtype=np.uint8)
-    for start in range(0, d, seq_len):
-        x_seq = volume[:, start:start + seq_len].transpose(1, 0, 2, 3)
-        _class_argmax(forward(params, x_seq), out[start:start + seq_len])
+
+    def encoder_tasks(start):
+        # the window's frame tasks and the list each fills with its
+        # frame's CMC maps
+        maps = [None] * min(seq_len, d - start)
+
+        def task(j):
+            x = volume[:, start + j:start + j + 1].transpose(1, 0, 2, 3)
+            with no_grad():
+                maps[j] = _encode(params, x, "eval")
+        return maps, [functools.partial(task, j) for j in range(len(maps))]
+
+    def decoder_tasks(start, maps):
+        # runs the window's convLSTM, then returns its frame tasks; each
+        # drops its frame's CMC maps once it has read them
+        with no_grad():
+            hs = convlstm_sequence(
+                Tensor(np.concatenate([f[-1].data for f in maps])),
+                params.lstm)
+
+        def task(j):
+            frame_maps, maps[j] = maps[j], None
+            with no_grad():
+                logits = _decode(params, frame_maps,
+                                 Tensor(hs.data[j:j + 1]), "eval")
+            _class_argmax(ops.softmax(logits.data),
+                          out[start + j:start + j + 1])
+        return [functools.partial(task, j) for j in range(len(maps))]
+
+    with _frame_threads() as run:
+        lead = lambda: []  # the window before the first has no decoder
+        for start in range(0, d, seq_len):
+            maps, tasks = encoder_tasks(start)
+            run(lead, tasks)
+            lead = functools.partial(decoder_tasks, start, maps)
+        run(lead, [])
     return out
+
+
+@contextmanager
+def _frame_threads():
+    """Yields run(lead, tasks). It calls lead() on this thread while
+    the workers start on the list of tasks; the tasks lead returns join
+    them, and this thread and the workers then take one task at a time
+    until all are done. There is one worker per further core of
+    os.sched_getaffinity(0), living as long as the block. An error that
+    lead or a task raises drops the tasks not yet started, and run raises
+    it once no task runs any more. BLAS runs on one thread meanwhile, so
+    that the threads do not contend for cores, and its thread count is
+    restored on the way out. On one core, where the platform does not
+    tell the cores a process may use, or where numpy's BLAS offers no
+    thread control, run uses no worker. A pool thread does not inherit
+    the caller's no_grad(): tasks enter it themselves."""
+    workers = (len(os.sched_getaffinity(0)) - 1
+               if hasattr(os, "sched_getaffinity") else 0)
+    blas = _blas_threads() if workers else None
+    if blas is None:
+        yield functools.partial(_share, None, 0)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            yield functools.partial(_share, pool, workers)
+    finally:
+        set_threads(threads)
+
+
+def _share(pool, workers, lead, tasks):
+    # run(lead, tasks) of _frame_threads, with up to `workers` threads of
+    # the pool: one per task before lead, and after it as many as the
+    # queue then has work for
+    queue = collections.deque(tasks)
+    futures = [pool.submit(_drain, queue)
+               for _ in range(min(workers, len(queue)))]
+    try:
+        queue.extend(lead())
+        futures += [pool.submit(_drain, queue)
+                    for _ in range(min(workers - len(futures), len(queue) - 1))]
+        _drain(queue)
+    finally:
+        queue.clear()  # after an error, the workers stop after their task
+        errors = [f.exception() for f in futures]  # waits for each
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _drain(queue):
+    # run tasks off the shared queue until it is empty; a failed task
+    # empties it, so the other threads stop after their current task
+    try:
+        while True:
+            try:
+                task = queue.popleft()
+            except IndexError:
+                return
+            task()
+    except BaseException:
+        queue.clear()
+        raise
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles,
+    looked up on first use; None where numpy's BLAS does not export
+    them."""
+    import ctypes
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 def _class_argmax(probs, out):

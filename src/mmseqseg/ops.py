@@ -3,16 +3,18 @@
 All spatial ops take NCHW input and return C-contiguous NCHW arrays.
 Convolution is same-padded cross-correlation (no kernel flip), lowered
 to im2col one image at a time: an image's patches form a
-(C*kh*kw, H*W) matrix, made as one zero-padded copy of the image and
+(C*kh*kw, H*W) matrix, made from one zero-padded copy of the image as
 one copy of its (C, kh, kw, H, W) window view. The product of the
 (Cout, C*kh*kw) kernel matrix with it is already that image's
 (Cout, H*W) slab of the NCHW output, written in place, so neither the
 patches nor the result is transposed; a grouped convolution splits both
-into G blocks and takes their G products in one matmul. No patch matrix
-is kept for the backward: it rebuilds each image's patches from the
-input, takes the kernel gradient image by image and scatters the patch
-gradients tap by tap (the slices of each tap are planned once per shape
-and cached).
+into G blocks and takes their G products in one matmul. The forward
+builds the patches of a band of output rows at a time, about a megabyte,
+and writes each band's product into its rows of the output. No patch
+matrix is kept for the backward: it rebuilds each image's patches from
+the input, takes the kernel gradient image by image and scatters the
+patch gradients tap by tap (the slices of each tap are planned once per
+shape and cached).
 
 `conv_bn_relu` is a convolution, its batch norm and a ReLU as one graph
 node, equal bit for bit to `relu(batchnorm(conv2d(...)))`: it shares
@@ -26,6 +28,11 @@ import functools
 import numpy as np
 
 from .tensor import ShapeError, Tensor, make_node, records_graph
+
+# most bytes of the patches one forward matmul of a convolution reads
+# (a band of at least one output row): about half of a 2 MB L2, and the
+# whole patch matrix of a small image
+_BAND_BYTES = 1 << 20
 
 
 def _shift(n, d):
@@ -52,18 +59,41 @@ def _taps(h, w, kh, kw):
     return tuple(plan)
 
 
-def _im2col(x, kh, kw):
-    # x: (N, C, H, W) -> (N, C*kh*kw, H*W), same padding, stride 1: one
-    # zero-padded copy, then one copy of its (N, C, kh, kw, H, W) view
-    # whose tap (dy, dx) is the padded image shifted by (dy, dx)
+@functools.lru_cache(maxsize=256)
+def _bands(h, w, row_bytes, band_bytes):
+    # the bands of output rows of an h x w image whose patches take
+    # row_bytes per row: (first row, rows, output columns) of each band.
+    # As many bands as band_bytes of patches each need, their rows evened
+    # out, so that no band is left with a few rows
+    rows = -(-h // -(-h * row_bytes // band_bytes))
+    return tuple((y, min(rows, h - y), slice(y * w, min(y + rows, h) * w))
+                 for y in range(0, h, rows))
+
+
+def _pad(x, kh, kw):
+    # (N, C, H, W) -> its zero-padded (N, C, H + kh - 1, W + kw - 1) copy
     n, c, h, w = x.shape
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
     padded[:, :, ph:ph + h, pw:pw + w] = x
+    return padded
+
+
+def _patches(padded, kh, kw, y, rows):
+    # the (N, C*kh*kw, rows*W) patches of output rows y ... y+rows-1 of a
+    # _pad-ded batch: one copy of its (N, C, kh, kw, rows, W) window view,
+    # whose tap (dy, dx) is the padded image shifted by (dy, dx)
+    n, c, _, wp = padded.shape
+    w = wp - (kw - 1)
     sn, sc, sy, sx = padded.strides
-    windows = np.ndarray((n, c, kh, kw, h, w), x.dtype, padded, 0,
-                         (sn, sc, sy, sx, sy, sx))
-    return windows.reshape(n, c * kh * kw, h * w)
+    windows = np.ndarray((n, c, kh, kw, rows, w), padded.dtype, padded,
+                         y * sy, (sn, sc, sy, sx, sy, sx))
+    return windows.reshape(n, c * kh * kw, rows * w)
+
+
+def _im2col(x, kh, kw):
+    # x: (N, C, H, W) -> (N, C*kh*kw, H*W), same padding, stride 1
+    return _patches(_pad(x, kh, kw), kh, kw, 0, x.shape[2])
 
 
 def _col2im(col, x_shape, kh, kw):
@@ -93,21 +123,28 @@ def _conv(x, kernel, groups):
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("same-padding needs odd kernel extents")
 
-    # No patch matrix outlives the gemm that reads it: each frame's
-    # (G, C/G*kh*kw, H*W) patches are built, used and dropped in turn, and
-    # the backward rebuilds them from x.data, which the graph holds as a
-    # parent. That is exact because nothing writes into an op's input
-    # after the op has run: the one in-place write, conv_bn_relu's ReLU,
-    # happens before its output is consumed.
+    # No patch matrix outlives the gemm that reads it. The forward takes
+    # each frame in bands of output rows whose patches fill about
+    # _BAND_BYTES, and writes each band's product into its rows of the
+    # output; a band's patches are exactly the frame's patch columns of
+    # those rows, so every output value is the same dot product. The
+    # backward rebuilds each frame's whole (G, C/G*kh*kw, H*W) patches
+    # from x.data, which the graph holds as a parent. That is exact
+    # because nothing writes into an op's input after the op has run: the
+    # one in-place write, conv_bn_relu's ReLU, happens before its output
+    # is consumed.
     w_col = kernel.data.reshape(groups, cout // groups, -1)
     out = np.empty((n, cout, h, w), dtype=np.result_type(w_col, x.data))
+    bands = _bands(h, w, cin * kh * kw * w * x.data.itemsize, _BAND_BYTES)
+    for i in range(n):
+        padded = _pad(x.data[i:i + 1], kh, kw)
+        frame = out[i].reshape(groups, cout // groups, h * w)
+        for y, band, cols in bands:
+            np.matmul(w_col, _patches(padded, kh, kw, y, band).reshape(
+                groups, -1, band * w), out=frame[:, :, cols])
 
     def frame_col(i):
         return _im2col(x.data[i:i + 1], kh, kw).reshape(groups, -1, h * w)
-
-    for i in range(n):
-        np.matmul(w_col, frame_col(i),
-                  out=out[i].reshape(groups, cout // groups, h * w))
 
     def backward(g):
         g = g.reshape(n, groups, cout // groups, h * w)

@@ -12,7 +12,9 @@ batch-norm inputs) die as soon as the op returns; ``network.forward``
 im2col patches even when recording: its backward rebuilds each image's
 patches from the input, which the graph already holds as a parent.
 Recording is per thread: ``no_grad()`` in one thread leaves every other
-thread's ops recording. The backward sweep releases each node's closure
+thread's ops recording, and a pool thread does not inherit its caller's
+``no_grad()``, so each task that ``network.predict_volume`` hands to a
+worker thread enters ``no_grad()`` itself. The backward sweep releases each node's closure
 and parents once it has run, so a saved buffer is freed as soon as it is
 dead, and one ``backward()`` consumes the graph.
 """

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -466,3 +468,16 @@ class TestGradcheckCommand:
 class TestUsage:
     def test_unknown_command(self):
         assert run("frobnicate") == EXIT_USAGE
+
+
+def test_import_loads_no_pool_machinery():
+    # a fresh interpreter's `import mmseqseg.cli` loads no thread-pool,
+    # process or queue module: predict_volume loads its pool on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mmseqseg.cli; "
+            "print(*[m for m in ('concurrent.futures', 'multiprocessing', "
+            "'queue') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -50,6 +50,25 @@ class TestVolumeFormat:
         assert kind == "label"
         np.testing.assert_array_equal(back, lbl)
 
+    @pytest.mark.parametrize("kind", ["modal", "label"])
+    def test_read_holds_one_payload(self, tmp_path, kind):
+        # the payload goes straight into the returned array, with no
+        # bytes object of its size beside it
+        rng = np.random.default_rng(2)
+        vol = (rng.standard_normal((4, 8, 64, 64)).astype(np.float32)
+               if kind == "modal"
+               else rng.integers(0, 5, size=(32, 64, 64)).astype(np.uint8))
+        path = tmp_path / "v.mmv"
+        write_volume(path, vol, kind)
+        tracemalloc.start()
+        try:
+            back, _ = read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == vol.tobytes()
+        assert peak < 1.25 * vol.nbytes, (peak, vol.nbytes)
+
     def test_header_predicts_file_size(self, tmp_path):
         vol = np.zeros((4, 6, 8, 10), dtype=np.float32)
         path = tmp_path / "v.mmv"
@@ -525,6 +544,29 @@ class TestNormalize:
     def test_constant_channel_no_blowup(self):
         out = normalize_volume(np.full((1, 2, 2, 2), 3.0))
         np.testing.assert_array_equal(out, 0.0)
+
+
+    @staticmethod
+    def expression_normalize(volume):
+        """The whole-expression form of each channel's z-score."""
+        volume = np.asarray(volume, dtype=np.float32)
+        out = np.empty_like(volume)
+        for c in range(volume.shape[0]):
+            ch = volume[c]
+            std = ch.std()
+            out[c] = (ch - ch.mean()) / (std if std > 0 else 1.0)
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_equal_expression(self, seed):
+        img, _ = gen_synthetic_case(seed, (16, 32, 32))
+        assert normalize_volume(img).tobytes() == \
+            self.expression_normalize(img).tobytes()
+
+    def test_zero_volume_bits_equal_expression(self):
+        img = np.zeros((4, 2, 16, 16), dtype=np.float32)
+        assert normalize_volume(img).tobytes() == \
+            self.expression_normalize(img).tobytes()
 
 
 class TestExtractSequences:

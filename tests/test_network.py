@@ -1,16 +1,21 @@
 """Model assembly: init, shapes, determinism, symmetry, graph-free
 inference, memory, prediction."""
 
+import functools
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mmseqseg import convlstm, crossmodal, network, ops, tensor
+from mmseqseg import cli, convlstm, crossmodal, network, ops, tensor
+from mmseqseg.dataio import save_checkpoint, write_volume
 from mmseqseg.gradsuite import check_end_to_end
 from mmseqseg.network import (ModelConfig, init_params, forward, forward_logits,
                               orthogonal_kernel, predict_volume)
-from mmseqseg.tensor import ShapeError, Tensor, no_grad
+from mmseqseg.tensor import NumericalError, ShapeError, Tensor, no_grad
 from mmseqseg.training import OptimizerState, TrainConfig, train_step
 
 TINY = dict(encoder_channels=(2, 3, 4, 5), input_height=16, input_width=16,
@@ -426,3 +431,218 @@ class TestPredictVolume:
         vol = rng.standard_normal((4, 4, 16, 16))
         np.testing.assert_array_equal(predict_volume(params, vol, 2),
                                       predict_volume(params, vol, 2))
+
+
+def window_labels(params, volume, seq_len):
+    """Reference labels: forward() on each whole window, then argmax."""
+    d = volume.shape[1]
+    out = np.empty(volume.shape[1:], dtype=np.uint8)
+    for start in range(0, d, seq_len):
+        window = volume[:, start:start + seq_len].transpose(1, 0, 2, 3)
+        out[start:start + seq_len] = forward(params, window).argmax(axis=1)
+    return out
+
+
+def cores(monkeypatch, n):
+    """Make os.sched_getaffinity report n cores, so predict_volume runs
+    n - 1 worker threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def needs_blas_threads():
+    if network._blas_threads() is None:
+        pytest.skip("numpy's BLAS offers no thread control: no worker runs")
+
+
+class MeetingEncode:
+    """network._encode that makes the first frame task of each of two
+    threads wait for the other's, so both threads surely run a task, and
+    records the thread, whether ops record a graph, and the outputs of
+    every call. With poison, frames on a worker thread turn NaN."""
+
+    def __init__(self, poison):
+        self.encode, self.poison = network._encode, poison
+        self.main = threading.get_ident()
+        self.barrier = threading.Barrier(2, timeout=30)
+        self.calls = []
+
+    def __call__(self, params, x_seq, mode):
+        me = threading.get_ident()
+        if me not in [thread for thread, _, _ in self.calls]:
+            self.barrier.wait()
+        if self.poison and me != self.main:
+            x_seq = np.full_like(x_seq, np.nan)
+        maps = self.encode(params, x_seq, mode)
+        self.calls.append((me, tensor._recording.get(), maps))
+        return maps
+
+
+class TestFrameThreads:
+    """predict_volume runs a window's encoder and decoder frame by frame,
+    shared by this thread and a worker thread per further core."""
+
+    @pytest.mark.parametrize("n_cores", [1, 2, 4])
+    def test_labels_equal_window_forward(self, n_cores, monkeypatch):
+        cores(monkeypatch, n_cores)
+        seq_len = 3
+        params = init_params(ModelConfig(seed=21, **TINY))
+        rng = np.random.default_rng(22)
+        # depths 1 ... 2T+1: one partial window, full ones, and every tail
+        for d in range(1, 2 * seq_len + 2):
+            vol = rng.standard_normal((4, d, 16, 16)).astype(np.float32)
+            np.testing.assert_array_equal(predict_volume(params, vol, seq_len),
+                                          window_labels(params, vol, seq_len))
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_labels_equal_window_forward_default_model(self, n_cores,
+                                                       monkeypatch):
+        # the default widths at 64 x 64, where convolutions run in bands
+        cores(monkeypatch, n_cores)
+        params = init_params(ModelConfig(seed=23))
+        vol = np.random.default_rng(24).standard_normal(
+            (4, 5, 64, 64)).astype(np.float32)
+        np.testing.assert_array_equal(predict_volume(params, vol, 3),
+                                      window_labels(params, vol, 3))
+
+    def test_worker_runs_frames_without_graph(self, monkeypatch):
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        encode = MeetingEncode(poison=False)
+        monkeypatch.setattr(network, "_encode", encode)
+        params = init_params(ModelConfig(seed=25, **TINY))
+        vol = np.random.default_rng(26).standard_normal(
+            (4, 5, 16, 16)).astype(np.float32)
+        np.testing.assert_array_equal(predict_volume(params, vol, 2),
+                                      window_labels(params, vol, 2))
+        assert len({thread for thread, _, _ in encode.calls}) == 2
+        assert not any(recording for _, recording, _ in encode.calls)
+        for _, _, maps in encode.calls:
+            assert all(t._backward is None and t._parents == ()
+                       and not t.requires_grad for t in maps)
+
+    def test_decoder_tasks_build_no_graph(self, monkeypatch):
+        cores(monkeypatch, 2)
+        decode, seen = network._decode, []
+
+        def recorded(*args):
+            logits = decode(*args)
+            seen.append((tensor._recording.get(), logits._backward))
+            return logits
+        monkeypatch.setattr(network, "_decode", recorded)
+        params = init_params(ModelConfig(seed=27, **TINY))
+        predict_volume(params, np.ones((4, 3, 16, 16), np.float32), 2)
+        assert seen == [(False, None)] * 3
+
+    def test_nonfinite_frame_on_worker_raises(self, monkeypatch):
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        monkeypatch.setattr(network, "_encode", MeetingEncode(poison=True))
+        params = init_params(ModelConfig(seed=28, **TINY))
+        with pytest.raises(NumericalError):
+            predict_volume(params, np.ones((4, 4, 16, 16), np.float32), 2)
+
+    def test_nonfinite_frame_on_worker_is_cli_exit_3(self, monkeypatch,
+                                                     tmp_path, capsys):
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        monkeypatch.setattr(network, "_encode", MeetingEncode(poison=True))
+        ckpt, vol, out = (tmp_path / name for name in ("m.mmck", "v.mmv",
+                                                       "o.mmv"))
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=28, **TINY)))
+        write_volume(vol, np.random.default_rng(30).standard_normal(
+            (4, 4, 16, 16)), "modal")
+        assert cli.main(["predict", "--model", str(ckpt), "--volume", str(vol),
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blas_threads_restored(self, monkeypatch):
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        get_threads, set_threads = network._blas_threads()
+        decode, during = network._decode, []
+
+        def recorded(*args):
+            during.append(get_threads())
+            return decode(*args)
+        monkeypatch.setattr(network, "_decode", recorded)
+        params = init_params(ModelConfig(seed=29, **TINY))
+        vol = np.ones((4, 4, 16, 16), np.float32)
+        outer = get_threads()
+        set_threads(2)
+        try:
+            predict_volume(params, vol, 2)
+            assert get_threads() == 2 and during == [1] * 4
+            monkeypatch.setattr(network, "_encode", MeetingEncode(poison=True))
+            with pytest.raises(NumericalError):
+                predict_volume(params, vol, 2)
+            assert get_threads() == 2
+        finally:
+            set_threads(outer)
+
+    def test_lead_runs_beside_the_tasks(self, monkeypatch):
+        # lead() on this thread meets a task on the worker; the tasks it
+        # returns run too
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        barrier, where = threading.Barrier(2, timeout=30), {}
+
+        def lead():
+            where["lead"] = threading.get_ident()
+            barrier.wait()
+            return [lambda: where.setdefault("more", True)]
+
+        def task():
+            where["task"] = threading.get_ident()
+            barrier.wait()
+        with network._frame_threads() as run:
+            run(lead, [task])
+        assert where["lead"] == threading.get_ident() != where["task"]
+        assert where["more"]
+
+    def test_lead_tasks_shared_when_none_came_before(self, monkeypatch):
+        # the last window's decoder tasks alone still use both threads
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        barrier, threads = threading.Barrier(2, timeout=30), set()
+
+        def task():
+            threads.add(threading.get_ident())
+            barrier.wait()
+        with network._frame_threads() as run:
+            run(lambda: [task, task], [])
+        assert len(threads) == 2
+
+    def test_each_task_runs_once_under_stress(self, monkeypatch):
+        # three workers on a short switch interval: a task lost or run
+        # twice shows in its own count
+        needs_blas_threads()
+        cores(monkeypatch, 4)
+        counts = [0] * 200
+
+        def bump(i):
+            counts[i] += 1
+
+        def tasks(lo, hi):
+            return [functools.partial(bump, i) for i in range(lo, hi)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with network._frame_threads() as run:
+                for _ in range(5):
+                    run(lambda: tasks(100, 200), tasks(0, 100))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [5] * 200
+
+    def test_failed_task_drops_the_rest(self, monkeypatch):
+        cores(monkeypatch, 1)
+        ran = []
+
+        def fail():
+            raise NumericalError("boom")
+        with network._frame_threads() as run:
+            with pytest.raises(NumericalError, match="boom"):
+                run(lambda: [lambda: ran.append(2)],
+                    [lambda: ran.append(0), fail, lambda: ran.append(1)])
+        assert ran == [0]

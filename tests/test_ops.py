@@ -281,6 +281,61 @@ class TestPerFrameConv:
         assert held < bound - frame_patches, (held, bound)
 
 
+def frame_conv(x, kernel, groups):
+    """The whole-frame form of the convolution's forward: one
+    (C*kh*kw, H*W) patch matrix per image and one matmul into that
+    image's output slab."""
+    n, _, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    w_col = kernel.reshape(groups, cout // groups, -1)
+    out = np.empty((n, cout, h, w), dtype=np.result_type(w_col, x))
+    for i in range(n):
+        np.matmul(w_col,
+                  ops._im2col(x[i:i + 1], kh, kw).reshape(groups, -1, h * w),
+                  out=out[i].reshape(groups, cout // groups, h * w))
+    return out
+
+
+class TestBandedConv:
+    """The forward takes each image in bands of output rows, one matmul
+    per band; its output equals the whole-frame form bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("hw", [16, 64, 128])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("band_bytes", [None, 1, 10000])
+    def test_bit_equal_to_whole_frame(self, dtype, groups, hw, k, band_bytes,
+                                      monkeypatch):
+        # band_bytes None keeps the default; 1 makes one row per band;
+        # 10000 makes bands that leave a shorter last one
+        if band_bytes is not None:
+            monkeypatch.setattr(ops, "_BAND_BYTES", band_bytes)
+        rng = np.random.default_rng(hw + k + groups)
+        x = rng.standard_normal((2, 8 * groups, hw, hw)).astype(dtype)
+        kernel = rng.standard_normal((4 * groups, 8, k, k)).astype(dtype)
+        with no_grad():
+            out = ops.conv2d(Tensor(x), Tensor(kernel), None, groups)
+        assert_bits(out.data, frame_conv(x, kernel, groups))
+
+    def test_patch_memory_one_band(self):
+        # the last decoder layer on one 128 x 128 frame: its whole patch
+        # matrix (4.7 MB) is never built, only about _BAND_BYTES of it
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((1, 8, 128, 128)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((8, 8, 3, 3)).astype(np.float32))
+        padded = 8 * 130 * 130 * 4
+        bound = 2 * x.data.nbytes + padded + ops._BAND_BYTES
+        tracemalloc.start()
+        try:
+            with no_grad():
+                ops.conv_bn_relu(x, kernel, BatchNormParams(8), "eval", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
+
 class TestLayout:
     def test_outputs_c_contiguous(self):
         rng = np.random.default_rng(18)
