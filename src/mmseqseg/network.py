@@ -12,11 +12,13 @@ The M encoders are stored grouped: `params.encoders[s]` is one conv-BN
 block over M*C channels whose kernel rows and batch-norm channels
 m*C ... (m+1)*C - 1 are modality m's. They run as one chain over a
 grouped map (T, M*C, h, w) whose channel group m is modality m's: each
-stage is one grouped conv_bn_relu and one maxpool2x2 over all M
-modalities. Every conv-BN block, in the encoder and the decoder, runs as
-one `ops.conv_bn_relu` node, bit for bit the separate conv2d, batchnorm
-and relu. `ModelParams.records()` names modality m's and each convLSTM
-gate's slices for the checkpoint.
+stage is one grouped `ops.conv_bn_relu_pool` node over all M modalities,
+bit for bit the separate conv2d, batchnorm, relu and maxpool2x2, which
+holds the convolution output and the pooled map but not the full-size
+ReLU map. Every decoder conv-BN block runs as one `ops.conv_bn_relu`
+node, bit for bit the separate conv2d, batchnorm and relu.
+`ModelParams.records()` names modality m's and each convLSTM gate's
+slices for the checkpoint.
 """
 
 import collections
@@ -30,8 +32,8 @@ import numpy as np
 from . import ops
 from .convlstm import ConvLstmParams, convlstm_sequence
 from .crossmodal import CmcParams, cmc_forward, mrf_fuse, stack_modalities
-from .ops import (BatchNormParams, conv2d, conv_bn_relu, conv_transpose2d,
-                  maxpool2x2)
+from .ops import (BatchNormParams, conv2d, conv_bn_relu, conv_bn_relu_pool,
+                  conv_transpose2d)
 from .tensor import ShapeError, Tensor, no_grad
 
 N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
@@ -270,8 +272,9 @@ def init_params(config, dtype=np.float32):
 
 def _encode(params, x_seq, mode):
     """The M encoders as one chain over a grouped map, then CMC at every
-    scale. Each stage is one grouped conv_bn_relu (conv, batch norm and
-    ReLU in one node) and one maxpool2x2 over all M modalities.
+    scale. Each stage is one grouped conv_bn_relu_pool node over all M
+    modalities: conv, batch norm, ReLU and 2x2 max-pool, whose backward
+    recomputes the ReLU map rather than holding it.
 
     x_seq: (T, M, H, W) array, the grouped map of the input. Returns list
     of N_SCALES CMC map tensors, each (T, C_s, H/2^(s+1), W/2^(s+1)).
@@ -287,7 +290,7 @@ def _encode(params, x_seq, mode):
     feat = Tensor(x_seq)
     cmc_maps = []
     for p, cmc in zip(params.encoders, params.cmc):
-        feat = maxpool2x2(conv_bn_relu(feat, p.kernel, p.bn, mode, m))
+        feat = conv_bn_relu_pool(feat, p.kernel, p.bn, mode, m)
         cmc_maps.append(cmc_forward(stack_modalities(feat, m), cmc))
     return cmc_maps
 

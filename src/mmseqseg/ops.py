@@ -20,19 +20,29 @@ shape and cached).
 node, equal bit for bit to `relu(batchnorm(conv2d(...)))`: it shares
 the convolution and the batch-norm statistics, affine and backward with
 `conv2d` and `batchnorm`, and runs the affine and the ReLU in the
-buffers it owns. Everything else is plain numpy on strided views.
+buffers it owns. `conv_bn_relu_pool` adds the 2x2 max-pool of
+`maxpool2x2` to that node and keeps only the convolution output and the
+pooled map; its backward recomputes the ReLU map from the convolution
+output with the forward's own ops. The batch-norm backward works in
+blocks of channels and writes the input gradient into the buffer its
+caller hands it. Everything else is plain numpy on strided views.
 """
 
 import functools
 
 import numpy as np
 
+from . import tensor  # check_finite is looked up at each call, as in make_node
 from .tensor import ShapeError, Tensor, make_node, records_graph
 
 # most bytes of the patches one forward matmul of a convolution reads
 # (a band of at least one output row): about half of a 2 MB L2, and the
 # whole patch matrix of a small image
 _BAND_BYTES = 1 << 20
+
+# about the bytes of input that one block of channels of a batch-norm
+# backward covers
+_BN_BLOCK_BYTES = 1 << 18
 
 
 def _shift(n, d):
@@ -71,7 +81,11 @@ def _bands(h, w, row_bytes, band_bytes):
 
 
 def _pad(x, kh, kw):
-    # (N, C, H, W) -> its zero-padded (N, C, H + kh - 1, W + kw - 1) copy
+    # (N, C, H, W) -> its zero-padded (N, C, H + kh - 1, W + kw - 1) copy;
+    # a 1x1 kernel pads nothing, so x itself (made C-contiguous, as the
+    # window view of _patches needs)
+    if kh == kw == 1:
+        return np.ascontiguousarray(x)
     n, c, h, w = x.shape
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
@@ -131,8 +145,8 @@ def _conv(x, kernel, groups):
     # backward rebuilds each frame's whole (G, C/G*kh*kw, H*W) patches
     # from x.data, which the graph holds as a parent. That is exact
     # because nothing writes into an op's input after the op has run: the
-    # one in-place write, conv_bn_relu's ReLU, happens before its output
-    # is consumed.
+    # in-place writes, the ReLU of conv_bn_relu and conv_bn_relu_pool,
+    # happen before their output is consumed.
     w_col = kernel.data.reshape(groups, cout // groups, -1)
     out = np.empty((n, cout, h, w), dtype=np.result_type(w_col, x.data))
     bands = _bands(h, w, cin * kh * kw * w * x.data.itemsize, _BAND_BYTES)
@@ -232,34 +246,46 @@ def conv_transpose2d(x, kernel, bias):
     return make_node(out, (x, kernel, bias), backward, "conv_transpose2d output")
 
 
+def _check_poolable(shape):
+    if len(shape) != 4:
+        raise ShapeError("maxpool2x2 expects NCHW input")
+    if shape[2] % 2 or shape[3] % 2:
+        raise ShapeError(f"maxpool2x2 needs even extents, got "
+                         f"{shape[2]}x{shape[3]}")
+
+
+def _pool(x):
+    # the disjoint 2x2 maxima of an (N, C, H, W) array: the max of each
+    # row's column pairs, then of each pair of those rows. np.maximum
+    # keeps its second operand on a tie, so this keeps the last maximum in
+    # row-major window order, as a left-to-right max over the four corners
+    # does; the order shows only in the sign of a zero maximum
+    cols = np.maximum(x[:, :, :, 0::2], x[:, :, :, 1::2])
+    return np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
+
+
+def _route(x, out, g, dx):
+    # the backward of out = _pool(x): g, out's gradient, goes to the first
+    # maximum of each window in row-major order. Written into dx, of x's
+    # shape, and returned; dx may be x itself, as each corner of x is read
+    # before the same corner of dx is written
+    free = np.ones(out.shape, dtype=bool)  # window not yet routed
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = free & (x[:, :, a::2, b::2] == out)
+        np.multiply(g, hit, out=dx[:, :, a::2, b::2])
+        free &= ~hit
+    return dx
+
+
 def maxpool2x2(x):
     """Disjoint 2x2 max pooling; gradient goes to the first max in
     row-major window order."""
-    if x.ndim != 4:
-        raise ShapeError("maxpool2x2 expects NCHW input")
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2x2 needs even extents, got {h}x{w}")
-    # the max of each row's column pairs, then of each pair of those
-    # rows. np.maximum keeps its second operand on a tie, so this keeps
-    # the last maximum in row-major window order, as a left-to-right max
-    # over the four corners does; the order shows only in the sign of a
-    # zero maximum
-    cols = np.maximum(x.data[:, :, :, 0::2], x.data[:, :, :, 1::2])
-    out = np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
+    _check_poolable(x.shape)
+    out = _pool(x.data)
 
     def backward(g):
         if x.requires_grad:
-            # the four window positions in row-major order
-            offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
-            corners = [x.data[:, :, a::2, b::2] for a, b in offsets]
-            dx = np.empty(x.shape, dtype=x.dtype)
-            free = np.ones(out.shape, dtype=bool)  # window not yet routed
-            for (a, b), corner in zip(offsets, corners):
-                hit = free & (corner == out)
-                np.multiply(g, hit, out=dx[:, :, a::2, b::2])
-                free &= ~hit
-            x._accumulate(dx)
+            x._accumulate(_route(x.data, out, g, np.empty(x.shape, x.dtype)))
 
     return make_node(out, (x,), backward, "maxpool2x2 output")
 
@@ -284,13 +310,26 @@ class BatchNormParams:
             run += (1.0 - self.momentum) * batch.astype(run.dtype)
 
 
+def _channel_blocks(c, channel_bytes):
+    # the channel slices of a batch-norm backward over c channels of
+    # channel_bytes each: as few blocks as _BN_BLOCK_BYTES each need, their
+    # sizes evened out, and none of one channel unless c is 1. A channel's
+    # sum over (N, H, W) then adds the N images' H*W sums as the whole
+    # array's does; in a one-channel block numpy sums all N*H*W values as
+    # one run, which differs in the last bits
+    k = min(max(1, c // 2), -(-c * channel_bytes // _BN_BLOCK_BYTES))
+    return [slice(c * i // k, c * (i + 1) // k) for i in range(k)]
+
+
 def _bn(x, params, mode):
-    # the batch norm shared by batchnorm and conv_bn_relu, over the
-    # (N, C, H, W) array x. Returns (a, b, backward): the per-channel
-    # affine x * a + b, from the batch's statistics in train mode (which
-    # also update the running statistics), else from the running ones;
-    # and the backward that takes an upstream gradient g to scale and
-    # shift and returns the gradient of x (None unless need_dx)
+    # the batch norm shared by batchnorm, conv_bn_relu and
+    # conv_bn_relu_pool, over the (N, C, H, W) array x. Returns (a, b,
+    # backward): the per-channel affine x * a + b, from the batch's
+    # statistics in train mode (which also update the running
+    # statistics), else from the running ones; and backward(g, need_dx),
+    # which takes an upstream gradient g to scale and shift and, if
+    # need_dx, writes the gradient of x into g and returns it (else None).
+    # So g must be a buffer the caller owns, never a tensor's .grad
     n, c, h, w = x.shape
     if params.scale.size != c:
         raise ShapeError(f"batchnorm channel mismatch: {params.scale.size} vs {c}")
@@ -319,22 +358,29 @@ def _bn(x, params, mode):
 
     def backward(g, need_dx):
         gsum = g.sum(axis=(0, 2, 3))
-        # xhat is recomputed here, not held from the forward
-        xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
-        gxhat = (g * xhat).sum(axis=(0, 2, 3))
+        # xhat is recomputed here, not held from the forward, one block of
+        # channels at a time; each block's train-mode dx needs only its
+        # own channels' sums
+        gxhat = []
+        for cs in _channel_blocks(c, m * x.itemsize):
+            xhat = np.subtract(x[:, cs], mean[cs, None, None])
+            xhat *= inv_std[cs, None, None]
+            gxhat.append((g[:, cs] * xhat).sum(axis=(0, 2, 3)))
+            if need_dx and mode == "train":
+                xhat *= (gxhat[-1] / m)[:, None, None]
+                dx = g[:, cs]
+                dx -= (gsum[cs] / m)[:, None, None]
+                dx -= xhat
+                dx *= a[cs, None, None]
         if shift.requires_grad:
             shift._accumulate(gsum)
         if scale.requires_grad:
-            scale._accumulate(gxhat)
+            scale._accumulate(np.concatenate(gxhat))
         if not need_dx:
             return None
-        if mode == "train":
-            xhat *= (gxhat / m)[:, None, None]
-            dx = g - (gsum / m)[:, None, None]
-            dx -= xhat
-            dx *= a[:, None, None]
-            return dx
-        return g * a[:, None, None]
+        if mode == "eval":
+            g *= a[:, None, None]
+        return g
 
     return a, b, backward
 
@@ -348,7 +394,7 @@ def batchnorm(x, params, mode="train"):
     out += b[:, None, None]
 
     def backward(g):
-        dx = bn_backward(g, x.requires_grad)
+        dx = bn_backward(g.copy(), x.requires_grad)
         if dx is not None:
             x._accumulate(dx)
 
@@ -366,6 +412,31 @@ def relu(x):
     return make_node(out, (x,), backward, "relu output")
 
 
+def _conv_bn(x, kernel, bn, mode, groups):
+    # the convolution and batch norm shared by conv_bn_relu and
+    # conv_bn_relu_pool. Returns (parents, z, affine, backward): the
+    # node's parents; z, the batch-norm affine of the convolution output
+    # y, in y's own buffer when no graph is recorded; affine(out), which
+    # writes that affine into out; and backward(dz), which takes the
+    # gradient of z, in a buffer the caller owns, to the parents
+    y, conv_backward = _conv(x, kernel, groups)
+    a, b, bn_backward = _bn(y, bn, mode)
+    parents = (x, kernel, bn.scale, bn.shift)
+
+    def affine(out):
+        np.multiply(y, a[:, None, None], out=out)
+        out += b[:, None, None]
+        return out
+
+    def backward(dz):
+        dy = bn_backward(dz, x.requires_grad or kernel.requires_grad)
+        if dy is not None:
+            conv_backward(dy)
+
+    z = affine(np.empty_like(y) if records_graph(parents) else y)
+    return parents, z, affine, backward
+
+
 def conv_bn_relu(x, kernel, bn, mode, groups):
     """relu(batchnorm(conv2d(x, kernel, groups=groups), bn, mode)) as one
     node, equal to the three ops bit for bit.
@@ -376,22 +447,42 @@ def conv_bn_relu(x, kernel, bn, mode, groups):
     before the ReLU, so a non-finite value cannot hide behind a zero;
     the ReLU then runs in place.
     """
-    y, conv_backward = _conv(x, kernel, groups)
-    a, b, bn_backward = _bn(y, bn, mode)
-    parents = (x, kernel, bn.scale, bn.shift)
-    out = np.multiply(y, a[:, None, None],
-                      out=np.empty_like(y) if records_graph(parents) else y)
-    out += b[:, None, None]
+    parents, out, _, affine_backward = _conv_bn(x, kernel, bn, mode, groups)
 
     def backward(g):
-        need_dy = x.requires_grad or kernel.requires_grad
-        dy = bn_backward(g * (out > 0), need_dy)
-        if dy is not None:
-            conv_backward(dy)
+        affine_backward(g * (out > 0))
 
     node = make_node(out, parents, backward, "conv_bn_relu output")
     np.maximum(out, 0, out=out)
     return node
+
+
+def conv_bn_relu_pool(x, kernel, bn, mode, groups):
+    """maxpool2x2(conv_bn_relu(x, kernel, bn, mode, groups)) as one node,
+    equal to the two ops bit for bit.
+
+    The node keeps the convolution output and the pooled map, not the
+    full-size ReLU map: the backward recomputes that map with the
+    forward's own ops, routes the gradient to the first maximum of each
+    window as maxpool2x2 does, and applies the ReLU's mask, all in one
+    buffer that the batch-norm backward then turns into the convolution
+    output's gradient. The affine result is checked for finite values
+    before the ReLU, as in conv_bn_relu, and the ReLU runs in its buffer.
+    """
+    _check_poolable(x.shape)
+    parents, z, affine, affine_backward = _conv_bn(x, kernel, bn, mode,
+                                                   groups)
+    tensor.check_finite(z, "conv_bn_relu_pool output")
+    out = _pool(np.maximum(z, 0, out=z))
+    shape = z.shape
+
+    def backward(g):
+        r = affine(np.empty(shape, out.dtype))
+        np.maximum(r, 0, out=r)
+        mask = r > 0
+        affine_backward(np.multiply(_route(r, out, g, r), mask, out=r))
+
+    return make_node(out, parents, backward, "conv_bn_relu_pool output")
 
 
 def expit(z):

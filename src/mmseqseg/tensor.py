@@ -10,11 +10,17 @@ closure, so the buffers a closure would save (pooling inputs,
 batch-norm inputs) die as soon as the op returns; ``network.forward``
 (and with it predict and eval) runs that way. A convolution saves no
 im2col patches even when recording: its backward rebuilds each image's
-patches from the input, which the graph already holds as a parent.
-Recording is per thread: ``no_grad()`` in one thread leaves every other
-thread's ops recording, and a pool thread does not inherit its caller's
-``no_grad()``, so each task that ``network.predict_volume`` hands to a
-worker thread enters ``no_grad()`` itself. The backward sweep releases each node's closure
+patches from the input, which the graph already holds as a parent. An
+encoder stage's node (``ops.conv_bn_relu_pool``) saves its convolution
+output and its pooled map but not the full-size ReLU map between them:
+its backward recomputes that map from the convolution output. The
+batch-norm backward works one block of channels at a time and writes
+the input gradient into the buffer its caller hands it, never into a
+tensor's ``grad``. Recording is per thread: ``no_grad()`` in one thread
+leaves every other thread's ops recording, and a pool thread does not
+inherit its caller's ``no_grad()``, so each task that
+``network.predict_volume`` hands to a worker thread enters
+``no_grad()`` itself. The backward sweep releases each node's closure
 and parents once it has run, so a saved buffer is freed as soon as it is
 dead, and one ``backward()`` consumes the graph.
 """

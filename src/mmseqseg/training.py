@@ -173,8 +173,11 @@ def train_step(params, named, batch, alpha, opt_state, lr, config,
     total = 0.0
     inv_b = 1.0 / len(batch)
     for x_seq, y_seq in batch:
-        logits = forward_logits(params, x_seq, mode=bn_mode)
-        loss = softmax_ce_loss(logits, y_seq, alpha.astype(x_seq.dtype))
+        # the logits are named nowhere, so the backward sweep frees them
+        # and their gradient with the rest of the graph, before the next
+        # sequence's forward
+        loss = softmax_ce_loss(forward_logits(params, x_seq, mode=bn_mode),
+                               y_seq, alpha.astype(x_seq.dtype))
         total += float(loss.data)
         loss.backward(seed=inv_b)  # batch gradients average
 

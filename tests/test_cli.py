@@ -472,12 +472,18 @@ class TestUsage:
 
 def test_import_loads_no_pool_machinery():
     # a fresh interpreter's `import mmseqseg.cli` loads no thread-pool,
-    # process or queue module: predict_volume loads its pool on first use
+    # process or queue module, adds ctypes to none that numpy loads (numpy
+    # itself imports it), and looks up no BLAS symbol: predict_volume
+    # does both on first use. Every workload's set-up time is this import
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = (f"import sys; sys.path.insert(0, {src!r}); import mmseqseg.cli; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy; "
+            "before = set(sys.modules); import mmseqseg.cli; "
+            "from mmseqseg.network import _blas_threads; "
             "print(*[m for m in ('concurrent.futures', 'multiprocessing', "
-            "'queue') if m in sys.modules])")
+            "'queue') if m in sys.modules], *[m for m in ('ctypes',) "
+            "if m in sys.modules and m not in before], "
+            "_blas_threads.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    assert proc.stdout.split() == ["0"]

@@ -95,7 +95,7 @@ class TestConv2d:
                        Tensor(np.zeros((1, 1, 2, 2))), None)
 
     @pytest.mark.parametrize("cin", [1, 3])
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [1, 3, 5])
     def test_batched_non_square_matches_oracle(self, cin, k):
         rng = np.random.default_rng(10 * cin + k)
         x = rng.standard_normal((3, cin, 5, 7))
@@ -194,6 +194,14 @@ class TestIm2col:
     def test_non_square_kernel_and_map(self):
         x = np.random.default_rng(1).standard_normal((1, 2, 5, 7))
         assert_bits(ops._im2col(x, 5, 3), tap_loop_im2col(x, 5, 3))
+
+    def test_one_by_one_pads_nothing(self):
+        # a 1x1 kernel reads the image itself, not a padded copy; a
+        # non-contiguous image is made contiguous for the window view
+        x = np.random.default_rng(2).standard_normal((2, 3, 4, 6))
+        assert ops._pad(x, 1, 1) is x
+        xt = x.transpose(0, 1, 3, 2)
+        assert_bits(ops._im2col(xt, 1, 1), tap_loop_im2col(xt, 1, 1))
 
     @pytest.mark.parametrize("shape,kh,kw", [((3, 2, 5, 7), 3, 3),
                                              ((2, 1, 4, 3), 5, 3),
@@ -727,6 +735,194 @@ class TestConvBnRelu:
         x, kernel, _ = conv_bn_setup(np.random.default_rng(4), np.float64, 1)
         with pytest.raises(ShapeError, match="batchnorm channel mismatch"):
             ops.conv_bn_relu(x, kernel, BatchNormParams(4), "eval", 1)
+
+
+def pool_setup(rng, dtype, groups, x_grad):
+    """(x, kernel, bn) of a grouped 3x3 conv-BN layer on small integers:
+    the convolution outputs repeat, so many pooling windows hold tied
+    maxima, and some windows are all zero after the ReLU."""
+    x, kernel, bn = conv_bn_setup(rng, dtype, groups)
+    x.data = rng.integers(-1, 2, x.shape).astype(dtype)
+    x.requires_grad = x_grad
+    kernel.data = rng.integers(-1, 2, kernel.shape).astype(dtype)
+    return x, kernel, bn
+
+
+def window_maxima(z):
+    # per 2x2 window of z: how many of its four values equal its max
+    n, c, h, w = z.shape
+    win = z.reshape(n, c, h // 2, 2, w // 2, 2)
+    return (win == win.max(axis=(3, 5), keepdims=True)).sum(axis=(3, 5))
+
+
+class TestConvBnReluPool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_bit_equal_to_two_ops(self, dtype, groups, mode, x_grad):
+        rng = np.random.default_rng(groups + 10 * x_grad)
+        x, kernel, bn = pool_setup(rng, dtype, groups, x_grad)
+        x2, kernel2, bn2 = twin(x, kernel, bn)
+        x2.requires_grad = x_grad
+        relu_map = ops.conv_bn_relu(x, kernel, bn, mode, groups)
+        ref = ops.maxpool2x2(relu_map)
+        tied = window_maxima(relu_map.data) > 1
+        assert (tied & (ref.data > 0)).any()  # tied positive maxima
+        assert (ref.data == 0).any()  # windows all zero after the ReLU
+        out = ops.conv_bn_relu_pool(x2, kernel2, bn2, mode, groups)
+        assert_bits(out.data, ref.data)
+        assert out.data.flags.c_contiguous
+        assert_bits(bn2.running_mean, bn.running_mean)
+        assert_bits(bn2.running_var, bn.running_var)
+        coeffs = rng.standard_normal(ref.shape)
+        ops.project(ref, coeffs).backward()
+        ops.project(out, coeffs).backward()
+        assert_bits(kernel2.grad, kernel.grad)
+        assert_bits(bn2.scale.grad, bn.scale.grad)
+        assert_bits(bn2.shift.grad, bn.shift.grad)
+        if x_grad:
+            assert_bits(x2.grad, x.grad)
+        else:
+            assert x.grad is None and x2.grad is None
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_graph_free_output_equal(self, mode):
+        x, kernel, bn = pool_setup(np.random.default_rng(9), np.float32, 2,
+                                   True)
+        x2, kernel2, bn2 = twin(x, kernel, bn)
+        recorded = ops.conv_bn_relu_pool(x, kernel, bn, mode, 2)
+        with no_grad():
+            free = ops.conv_bn_relu_pool(x2, kernel2, bn2, mode, 2)
+        assert recorded._backward is not None and free._backward is None
+        assert_bits(free.data, recorded.data)
+        assert_bits(bn2.running_mean, bn.running_mean)
+
+    def test_node_holds_no_relu_map(self):
+        # while the node lives it holds the convolution output and the
+        # pooled map, a quarter of it; the two-op chain also held the
+        # full-size ReLU map
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((3, 16, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        kernel = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32),
+                        requires_grad=True)
+        bn = BatchNormParams(16)
+        conv_bytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            node = ops.conv_bn_relu_pool(x, kernel, bn, "train", 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert node._backward is not None
+        assert held < 1.25 * conv_bytes + 65536, (held, conv_bytes)
+
+    def test_odd_extents_raise_before_statistics_update(self):
+        x, kernel, bn = conv_bn_setup(np.random.default_rng(4), np.float64, 1)
+        x.data = x.data[:, :, :7]
+        mean = bn.running_mean.copy()
+        with pytest.raises(ShapeError, match="even"):
+            ops.conv_bn_relu_pool(x, kernel, bn, "train", 1)
+        assert_bits(bn.running_mean, mean)
+
+    def test_masked_non_finite_conv_output_raises(self):
+        # -inf in a window whose max is finite: the pooled map alone
+        # would hide it, so the check comes before the ReLU and the pool
+        x = Tensor(np.array([[[[-np.inf, 1.0], [2.0, 3.0]]]], np.float32))
+        kernel = Tensor(np.ones((1, 1, 1, 1), np.float32), requires_grad=True)
+        for record in (True, False):
+            with pytest.raises(NumericalError, match="conv_bn_relu_pool"):
+                if record:
+                    ops.conv_bn_relu_pool(x, kernel, BatchNormParams(1),
+                                          "eval", 1)
+                else:
+                    with no_grad():
+                        ops.conv_bn_relu_pool(x, kernel, BatchNormParams(1),
+                                              "eval", 1)
+
+
+def whole_array_bn_backward(x, params, mode, g):
+    """The batch-norm backward over whole arrays, one temporary per
+    step: (dx, scale gradient, shift gradient) for upstream g."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    if mode == "train":
+        mean = x.sum(axis=(0, 2, 3)) / m
+        d = x - mean[:, None, None]
+        d *= d
+        var = d.sum(axis=(0, 2, 3)) / m
+    else:
+        mean = params.running_mean.astype(x.dtype)
+        var = params.running_var.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + params.epsilon)
+    a = params.scale.data * inv_std
+    gsum = g.sum(axis=(0, 2, 3))
+    xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
+    gxhat = (g * xhat).sum(axis=(0, 2, 3))
+    if mode == "train":
+        xhat *= (gxhat / m)[:, None, None]
+        dx = g - (gsum / m)[:, None, None]
+        dx -= xhat
+        dx *= a[:, None, None]
+    else:
+        dx = g * a[:, None, None]
+    return dx, gxhat, gsum
+
+
+class TestBlockedBatchNormBackward:
+    """The batch-norm backward works in blocks of channels and writes dx
+    into the buffer it is handed; its results equal the whole-array
+    backward bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", [
+        (3, 8, 64, 64), (3, 12, 16, 20), (3, 24, 32, 32), (3, 64, 32, 32),
+        (3, 128, 16, 16), (3, 256, 8, 8), (2, 5, 7, 3), (3, 3, 9, 9),
+        (2, 1, 4, 4)])
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_bit_equal_to_whole_array(self, dtype, mode, shape, block_bytes,
+                                      monkeypatch):
+        # block_bytes None keeps the default; 1 makes blocks of two or
+        # three channels
+        if block_bytes is not None:
+            monkeypatch.setattr(ops, "_BN_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(shape[1])
+        c = shape[1]
+        bn = BatchNormParams(c, dtype=dtype)
+        bn.scale.data = (1.0 + 0.5 * rng.standard_normal(c)).astype(dtype)
+        bn.running_mean = rng.standard_normal(c).astype(dtype)
+        bn.running_var = rng.uniform(0.5, 2.0, c).astype(dtype)
+        x = (rng.standard_normal(shape) * 2 + 1).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        dx, dscale, dshift = whole_array_bn_backward(x, bn, mode, g)
+        buf = g.copy()
+        assert ops._bn(x, bn, mode)[2](buf, True) is buf
+        assert_bits(buf, dx)
+        assert_bits(bn.scale.grad, dscale)
+        assert_bits(bn.shift.grad, dshift)
+
+    def test_without_dx_leaves_the_buffer(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((3, 8, 16, 16))
+        g = rng.standard_normal(x.shape)
+        buf = g.copy()
+        assert ops._bn(x, BatchNormParams(8, np.float64), "train")[2](
+            buf, False) is None
+        assert_bits(buf, g)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 8, 64, 256])
+    @pytest.mark.parametrize("channel_bytes", [1, 12288, 1 << 20])
+    def test_blocks_cover_channels_with_none_of_one(self, c, channel_bytes):
+        blocks = ops._channel_blocks(c, channel_bytes)
+        assert [i for cs in blocks for i in range(c)[cs]] == list(range(c))
+        assert all(cs.stop - cs.start >= min(2, c) for cs in blocks)
+        # about _BN_BLOCK_BYTES each, or three channels at most where
+        # blocks of two or three channels are already larger
+        assert all(cs.stop - cs.start <= max(3, ops._BN_BLOCK_BYTES
+                                             // channel_bytes + 1)
+                   for cs in blocks)
 
 
 class TestActivations:
