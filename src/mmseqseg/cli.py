@@ -36,19 +36,24 @@ class ConfigError(ValueError):
 
 
 def parse_config_file(path):
-    """`key = value` lines, # comments; returns dict of raw strings."""
+    """`key = value` lines, # comments; returns dict of raw strings.
+    The file is UTF-8; any other bytes are a ConfigError naming it."""
     out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from e
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -201,6 +206,8 @@ def cmd_predict(args):
 def cmd_gradcheck(args):
     if args.seed < 0:
         raise ConfigError("--seed must not be negative")
+    if args.tol is not None and not 0 < args.tol < float("inf"):
+        raise ConfigError("--tol must be positive and finite")
     t0 = time.time()
     results = run_suite(seeds=tuple(range(args.seed, args.seed + 3)),
                         tol=args.tol)

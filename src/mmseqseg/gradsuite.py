@@ -146,8 +146,8 @@ def check_end_to_end(seed, tol):
     random entries in every parameter group. The step is 1e-6:
     a wider one straddles ReLU and max-pool kinks at many seeds."""
     rng = np.random.default_rng(seed)
-    config = ModelConfig(encoder_channels=(2, 3, 4, 5), input_height=16,
-                         input_width=16, sequence_length=2, seed=seed)
+    config = ModelConfig(encoder_channels=(2, 3, 4, 5), sequence_length=2,
+                         seed=seed)
     params = init_params(config, dtype=np.float64)
     x_seq = rng.standard_normal((2, 4, 16, 16))
     labels = rng.integers(0, 5, size=(2, 16, 16))

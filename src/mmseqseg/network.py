@@ -42,15 +42,11 @@ N_SCALES = 4  # pooling stages; input extents must divide by 2**N_SCALES
 @dataclass
 class ModelConfig:
     """Model half of the run configuration. The fields of ModelConfig
-    and training.TrainConfig are the config-file keys and defaults.
-    input_height and input_width are validated and recorded, but
-    nothing reads them: any H x W divisible by 2**N_SCALES runs."""
+    and training.TrainConfig are the config-file keys and defaults."""
 
     modality_count: int = 4
     class_count: int = 5
     encoder_channels: tuple = (8, 16, 32, 64)
-    input_height: int = 64
-    input_width: int = 64
     sequence_length: int = 3
     convlstm_kernel: int = 3
     seed: int = 0
@@ -71,11 +67,6 @@ class ModelConfig:
             raise ValueError("every encoder_channels width must be at least 1")
         if self.convlstm_kernel < 1 or self.convlstm_kernel % 2 == 0:
             raise ValueError("convlstm_kernel must be a positive odd number")
-        div = 2 ** N_SCALES
-        h, w = self.input_height, self.input_width
-        if min(h, w) < 1 or h % div or w % div:
-            raise ValueError("input_height and input_width must be positive "
-                             f"and divisible by {div}")
 
 
 def config_text(*configs):
@@ -306,7 +297,7 @@ def _decode(params, cmc_maps, d, mode):
     return conv2d(d, params.cls_kernel, params.cls_bias)
 
 
-def forward_logits(params, x_seq, mode="train", intermediates=None):
+def forward_logits(params, x_seq, mode, intermediates=None):
     """Full forward pass to classifier logits (T, K, H, W)."""
     cmc_maps = _encode(params, x_seq, mode)
     if intermediates is not None:

@@ -385,7 +385,7 @@ def _bn(x, params, mode):
     return a, b, backward
 
 
-def batchnorm(x, params, mode="train"):
+def batchnorm(x, params, mode):
     """Per-channel batch normalization over the N, H, W axes."""
     if x.ndim != 4:
         raise ShapeError("batchnorm expects NCHW input")

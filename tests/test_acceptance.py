@@ -169,7 +169,7 @@ def test_A5_cmc_selector_exactness():
     from mmseqseg.ops import (BatchNormParams, batchnorm, conv2d, maxpool2x2,
                               relu)
     config = ModelConfig(seed=0, encoder_channels=(2, 3, 4, 5),
-                         input_height=16, input_width=16, sequence_length=2)
+                         sequence_length=2)
     rng = np.random.default_rng(7)
     seq = rng.standard_normal((2, 4, 16, 16)).astype(np.float32)
     exact = True
@@ -219,8 +219,7 @@ def test_A6_class_weight_law():
 
 
 def test_A7_determinism_and_persistence(tmp_path):
-    tiny = dict(encoder_channels=(2, 3, 4, 5), input_height=16,
-                input_width=16, sequence_length=2)
+    tiny = dict(encoder_channels=(2, 3, 4, 5), sequence_length=2)
     rng = np.random.default_rng(3)
     cases = [(rng.standard_normal((4, 4, 16, 16)).astype(np.float32),
               (rng.random((4, 16, 16)) < 0.2).astype(np.uint8))]
@@ -260,7 +259,6 @@ def test_A8_convlstm_identities():
     counts = []
     for t in (1, 3, 5):
         p = init_params(ModelConfig(seed=0, encoder_channels=(2, 3, 4, 5),
-                                    input_height=16, input_width=16,
                                     sequence_length=t))
         counts.append(sum(v.data.size for v in p.named_tensors().values()))
     const_ok = counts[0] == counts[1] == counts[2]

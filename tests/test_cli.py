@@ -22,8 +22,6 @@ def run(*argv):
 TINY_CFG = """
 # desk-scale smoke configuration
 encoder_channels = 2,3,4,5
-input_height = 16
-input_width = 16
 sequence_length = 2
 batch_size = 1
 phase1_steps = 0
@@ -51,10 +49,13 @@ class TestConfig:
         assert model.sequence_length == train.sequence_length == 2
 
     def test_unknown_key_rejected(self, tmp_path):
+        # config files written while the model config held the slice
+        # extents name the last two keys; the data sets the slice size now
         path = tmp_path / "run.cfg"
-        path.write_text("bogus_key = 1\n")
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_file(path)
+        for key in ("bogus_key", "input_height", "input_width"):
+            path.write_text(f"{key} = 1\n")
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config_file(path)
 
     def test_flags_win(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -139,7 +140,7 @@ class TestTrain:
     @pytest.mark.parametrize("line", [
         "encoder_channels = 8,16,32",
         "encoder_channels = a,b,c,d",
-        "input_height = 20",
+        "input_height = 20",  # no longer a key: rejected as unknown
         "seed = x",
         "seed = -3",
         "batch_size = 0",
@@ -163,6 +164,16 @@ class TestTrain:
         assert run("train", "--config", str(cfg), "--data", str(tiny_data),
                    "--out", str(tmp_path / "out")) == EXIT_USAGE
         assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_is_usage_error(self, tiny_data, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfeseed = 1\n")
+        assert run("train", "--config", str(cfg), "--data", str(tiny_data),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(cfg) in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_negative_step_flag_is_usage_error(self, tiny_data, tmp_path):
@@ -191,7 +202,7 @@ class TestTrain:
                    str(tiny_data), "--out", str(second)) == EXIT_OK
         assert (second / "config.resolved").read_bytes() == \
             resolved.read_bytes()
-        assert len(resolved.read_text().splitlines()) == 14
+        assert len(resolved.read_text().splitlines()) == 12
 
 
 def mismatched_case(tmp_path, lbl_dims):
@@ -353,7 +364,6 @@ class TestEval:
     def test_model_eval_writes_report(self, tiny_data, tmp_path):
         ckpt = tmp_path / "m.mmck"
         params = init_params(ModelConfig(seed=0, encoder_channels=(2, 3, 4, 5),
-                                         input_height=16, input_width=16,
                                          sequence_length=2))
         save_checkpoint(ckpt, params)
         report = tmp_path / "report.txt"
@@ -371,7 +381,6 @@ class TestPredict:
     def ckpt(self, tmp_path):
         path = tmp_path / "m.mmck"
         params = init_params(ModelConfig(seed=1, encoder_channels=(2, 3, 4, 5),
-                                         input_height=16, input_width=16,
                                          sequence_length=2))
         save_checkpoint(path, params)
         return path
@@ -397,7 +406,6 @@ class TestPredict:
     def test_window_longer_than_volume(self, tiny_data, tmp_path):
         # the window length only tiles the depth; it sizes nothing
         params = init_params(ModelConfig(seed=1, encoder_channels=(2, 3, 4, 5),
-                                         input_height=16, input_width=16,
                                          sequence_length=10**9))
         ckpt, out = tmp_path / "long.mmck", tmp_path / "pred.mmv"
         save_checkpoint(ckpt, params)
@@ -447,6 +455,15 @@ class TestGradcheckCommand:
         assert "maxpool2x2           seed=21 max_rel_err=6.123e-11 kinks=2 pass" \
             in lines
 
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "-inf"])
+    def test_bad_tolerance_is_usage_error(self, tol, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite",
+                            lambda **kw: pytest.fail("a check ran"))
+        assert run("gradcheck", f"--tol={tol}") == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --tol must be positive and finite"]
 
     def test_unreachable_tolerance_fails(self, capsys):
         assert run("gradcheck", "--seed", "0", "--tol", "1e-12") \

@@ -132,7 +132,6 @@ class TestVolumeFormat:
 class TestCheckpointFormat:
     def make(self, seed=0):
         return init_params(ModelConfig(seed=seed, encoder_channels=(2, 3, 4, 5),
-                                       input_height=16, input_width=16,
                                        sequence_length=2))
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -404,16 +403,13 @@ class TestCheckpointFormat:
     def test_config_text_pinned(self, tmp_path):
         params = init_params(ModelConfig(
             modality_count=2, class_count=3, encoder_channels=(4, 6, 8, 10),
-            input_height=32, input_width=48, sequence_length=4,
-            convlstm_kernel=5, seed=11))
+            sequence_length=4, convlstm_kernel=5, seed=11))
         path = tmp_path / "m.mmck"
         save_checkpoint(path, params)
         text, _ = checkpoint_config(path.read_bytes())
         assert text == ("class_count=3\n"
                         "convlstm_kernel=5\n"
                         "encoder_channels=4,6,8,10\n"
-                        "input_height=32\n"
-                        "input_width=48\n"
                         "modality_count=2\n"
                         "seed=11\n"
                         "sequence_length=4\n")
@@ -425,8 +421,20 @@ class TestCheckpointFormat:
         save_checkpoint(path, params)
         data = path.read_bytes()
         text, _ = checkpoint_config(data)
-        path.write_bytes(with_config(data, text + "lr_phase1=0.5\n"))
-        assert load_checkpoint(path)[1] == params.config
+        # every checkpoint written while the model config held the slice
+        # extents names them, in the sorted order config_text writes
+        old = "".join(sorted((text + "input_height=64\ninput_width=64\n")
+                             .splitlines(keepends=True)))
+        seq = np.random.default_rng(2).standard_normal(
+            (2, 4, 16, 16)).astype(np.float32)
+        probs = forward(params, seq)
+        for forged in (text + "lr_phase1=0.5\n", old):
+            path.write_bytes(with_config(data, forged))
+            loaded, config = load_checkpoint(path)
+            assert config == params.config
+            for name, value in params.records().items():
+                assert loaded.records()[name].tobytes() == value.tobytes()
+            assert forward(loaded, seq).tobytes() == probs.tobytes()
 
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("seed=0\n", ""),

@@ -42,7 +42,7 @@ def files(tmp_path_factory):
     write_volume(tmp / "label", rng.integers(0, 5, size=(2, 16, 16)), "label")
     save_checkpoint(tmp / "ckpt", init_params(ModelConfig(
         modality_count=2, class_count=3, encoder_channels=(2, 2, 2, 2),
-        input_height=16, input_width=16, convlstm_kernel=1)))
+        convlstm_kernel=1)))
     valid = {name: (tmp / name).read_bytes()
              for name in ("modal", "label", "ckpt")}
     return valid, tmp / "probe"

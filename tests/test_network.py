@@ -18,8 +18,7 @@ from mmseqseg.network import (ModelConfig, init_params, forward, forward_logits,
 from mmseqseg.tensor import NumericalError, ShapeError, Tensor, no_grad
 from mmseqseg.training import OptimizerState, TrainConfig, train_step
 
-TINY = dict(encoder_channels=(2, 3, 4, 5), input_height=16, input_width=16,
-            sequence_length=2)
+TINY = dict(encoder_channels=(2, 3, 4, 5), sequence_length=2)
 
 
 class TestInit:
@@ -188,7 +187,7 @@ class TestGraph:
     def test_nodes_c_contiguous_and_counted(self):
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
-        nodes = _graph(forward_logits(params, seq.astype(np.float32)))
+        nodes = _graph(forward_logits(params, seq.astype(np.float32), "train"))
         # 32 op outputs and 45 parameters, whatever the kernel layouts: per
         # scale the grouped encoder makes conv_bn_relu_pool, the modality
         # stack and CMC (12); at T=2 the convLSTM makes 2 convs and 4 cell
@@ -209,10 +208,9 @@ class TestGraph:
         np.testing.assert_array_equal(x.grad, 2 * coeffs)
 
 
-def _batch(config, size, seed):
+def _batch(config, size, seed, h, w):
     rng = np.random.default_rng(seed)
     t, m = config.sequence_length, config.modality_count
-    h, w = config.input_height, config.input_width
     return [(rng.standard_normal((t, m, h, w)).astype(np.float32),
              rng.integers(0, config.class_count, (t, h, w)))
             for _ in range(size)]
@@ -265,15 +263,15 @@ class TestGraphFree:
             forward(params, np.zeros((2, 3, 16, 16)), mode="eval")
         assert tensor._recording.get()
         named = params.named_tensors()
-        train_step(params, named, _batch(config, 2, 5), np.ones(5),
+        train_step(params, named, _batch(config, 2, 5, 16, 16), np.ones(5),
                    OptimizerState(named), 1e-3, TrainConfig())
         assert all(p.grad is not None for p in named.values())
 
     def test_backward_releases_every_interior_node(self):
         params = init_params(ModelConfig(seed=5, **TINY))
-        (x_seq, y_seq), = _batch(params.config, 1, 6)
-        loss = ops.softmax_ce_loss(forward_logits(params, x_seq), y_seq,
-                                   np.ones(5, dtype=np.float32))
+        (x_seq, y_seq), = _batch(params.config, 1, 6, 16, 16)
+        loss = ops.softmax_ce_loss(forward_logits(params, x_seq, "train"),
+                                   y_seq, np.ones(5, dtype=np.float32))
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
         assert len(interior) == 33  # 32 op outputs and the loss
@@ -313,8 +311,8 @@ class TestSeparateOpsOracle:
         assert fused.tobytes() == separate.tobytes()
 
     def test_train_step_bit_equal(self, monkeypatch):
-        config = ModelConfig(seed=2, input_height=128, input_width=128)
-        batch = _batch(config, 1, 4)
+        config = ModelConfig(seed=2)
+        batch = _batch(config, 1, 4, 128, 128)
         runs = []
         for layers in (SEPARATE, {}):
             params = init_params(config)
@@ -355,11 +353,11 @@ class TestMemory:
         # train_step runs it: 11.43 MB when each encoder stage held its
         # ReLU map and the batch-norm backward took whole-array buffers
         params = init_params(ModelConfig(seed=0))
-        (x_seq, y_seq), = _batch(params.config, 1, 1)
+        (x_seq, y_seq), = _batch(params.config, 1, 1, 64, 64)
 
         def sequence():
-            loss = ops.softmax_ce_loss(forward_logits(params, x_seq), y_seq,
-                                       np.ones(5, dtype=np.float32))
+            loss = ops.softmax_ce_loss(forward_logits(params, x_seq, "train"),
+                                       y_seq, np.ones(5, dtype=np.float32))
             loss.backward()
         assert _peak_mb(sequence) <= 8.5
 
@@ -370,7 +368,7 @@ class TestMemory:
         state = OptimizerState(named)
 
         def step(size):
-            batch = _batch(config, size, size)
+            batch = _batch(config, size, size, 64, 64)
             return _peak_mb(lambda: train_step(params, named, batch,
                                                np.ones(5), state, 1e-4,
                                                TrainConfig()))

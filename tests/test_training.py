@@ -10,8 +10,7 @@ from mmseqseg.training import (OptimizerState, SequenceDataset, TrainConfig,
                                compute_class_weights, run_two_phase,
                                sample_natural, sample_phase1)
 
-TINY_MODEL = dict(encoder_channels=(2, 3, 4, 5), input_height=16,
-                  input_width=16, sequence_length=2)
+TINY_MODEL = dict(encoder_channels=(2, 3, 4, 5), sequence_length=2)
 
 
 def labels_with_freqs():
