@@ -116,12 +116,24 @@ def load_cases(data_dir):
     return cases
 
 
-def check_labels(cases, k):
-    """A data error naming the first label file with a value of k or more."""
-    for lbl_name, (_, lbl) in cases.items():
-        if lbl.max() >= k:
+def check_cases(cases, config):
+    """A data error naming the first case whose image has other than
+    modality_count modalities or whose label file holds a value of
+    class_count or more."""
+    for lbl_name, (img, lbl) in cases.items():
+        check_modalities(lbl_name.replace("_lbl.mmv", "_img.mmv"), img,
+                         config)
+        if lbl.max() >= config.class_count:
             raise FormatError(f"{lbl_name} holds label {lbl.max()}, but "
-                              f"class_count is {k}")
+                              f"class_count is {config.class_count}")
+
+
+def check_modalities(name, img, config):
+    """A data error naming the image file if its (M, D, H, W) volume has
+    other than modality_count modalities."""
+    if img.shape[0] != config.modality_count:
+        raise FormatError(f"{name} has {img.shape[0]} modalities, but "
+                          f"modality_count is {config.modality_count}")
 
 
 def cmd_gen(args):
@@ -156,7 +168,7 @@ def cmd_train(args):
     }
     model_cfg, train_cfg = resolve_config(file_values, overrides)
     cases = load_cases(args.data)
-    check_labels(cases, model_cfg.class_count)
+    check_cases(cases, model_cfg)
     dataset = SequenceDataset(list(cases.values()), train_cfg.sequence_length)
     params = init_params(model_cfg)
 
@@ -182,7 +194,7 @@ def cmd_eval(args):
     else:
         params, config = load_checkpoint(args.model)
         k = config.class_count
-        check_labels(cases, k)
+        check_cases(cases, config)
         preds = [predict_volume(params, img, config.sequence_length)
                  for img, _ in cases.values()]
     report = metrics.evaluate(preds, truths, k)
@@ -196,6 +208,7 @@ def cmd_predict(args):
     volume, kind = read_volume(args.volume)
     if kind != "modal":
         raise FormatError(f"{args.volume} is not a modal volume")
+    check_modalities(args.volume, volume, config)
     labels = predict_volume(params, normalize_volume(volume),
                             config.sequence_length)
     atomic_write(args.out, lambda p: write_volume(p, labels, "label"))

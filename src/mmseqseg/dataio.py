@@ -159,7 +159,8 @@ def save_checkpoint(path, params):
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, ModelConfig)."""
+    """Returns (ModelParams, ModelConfig). A record holding a NaN or an
+    infinity is a FormatError naming it."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != MAGIC_CHECKPOINT:
@@ -194,6 +195,8 @@ def load_checkpoint(path):
                                   f"tensor has at most {MAX_NDIM}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
             tensors[name] = _read_array(f, dims, "<f4", f"payload of {name}")
+            if not np.isfinite(tensors[name]).all():
+                raise FormatError(f"{name} holds a non-finite value")
 
     def stored(name, like):
         if name not in tensors:

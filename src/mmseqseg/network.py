@@ -19,9 +19,13 @@ ReLU map. Every decoder conv-BN block runs as one `ops.conv_bn_relu`
 node, bit for bit the separate conv2d, batchnorm and relu.
 `ModelParams.records()` names modality m's and each convLSTM gate's
 slices for the checkpoint.
+
+predict_volume runs each slice's encoder and decoder as a task on the
+executor of _frame_pool(), and each window's convLSTM, the one layer
+that links slices, on the calling thread, which also runs the tasks no
+worker has started when it needs their results.
 """
 
-import collections
 import functools
 import os
 from contextlib import contextmanager
@@ -328,14 +332,14 @@ def predict_volume(params, volume, seq_len):
     works per slice (batch norm runs on its running statistics). Ties go
     to the lowest class id.
 
-    Because every layer but the convLSTM works per slice, a window runs
-    as frame tasks: the encoder and CMC of each frame, the convLSTM once
-    over the window on this thread, then the decoder, classifier and
-    argmax of each frame. The tasks are shared by this thread and one
-    worker thread per further core (see _frame_threads). While this
-    thread runs a window's convLSTM, the workers start on the encoder
-    tasks of the next window, and the window's decoder tasks then join
-    those in one batch, so at most one window is encoded ahead. Each
+    Because every layer but the convLSTM works per slice, each slice's
+    encoder and CMC, and each slice's decoder, classifier and argmax,
+    run as tasks on _frame_pool(). This thread runs each window's
+    convLSTM, and the tasks no worker has started when it needs their
+    results (see _results). While it runs window k's convLSTM, the
+    workers encode window k+1; it then waits for those tasks and window
+    k's decoder tasks together, so the CMC maps of at most two windows
+    are live and a task's error is raised within one window. Each
     frame's values are the ones forward() computes for it over the whole
     window, bit for bit.
     """
@@ -345,108 +349,80 @@ def predict_volume(params, volume, seq_len):
         raise ShapeError("volume has no depth")
     out = np.empty((d, h, w), dtype=np.uint8)
 
-    def encoder_tasks(start):
-        # the window's frame tasks and the list each fills with its
-        # frame's CMC maps
-        maps = [None] * min(seq_len, d - start)
-
-        def task(j):
-            x = volume[:, start + j:start + j + 1].transpose(1, 0, 2, 3)
-            with no_grad():
-                maps[j] = _encode(params, x, "eval")
-        return maps, [functools.partial(task, j) for j in range(len(maps))]
-
-    def decoder_tasks(start, maps):
-        # runs the window's convLSTM, then returns its frame tasks; each
-        # drops its frame's CMC maps once it has read them
+    def encode(z):
         with no_grad():
-            hs = convlstm_sequence(
-                Tensor(np.concatenate([f[-1].data for f in maps])),
-                params.lstm)
+            return _encode(params, volume[:, z:z + 1].transpose(1, 0, 2, 3),
+                           "eval")
 
-        def task(j):
-            frame_maps, maps[j] = maps[j], None
-            with no_grad():
-                logits = _decode(params, frame_maps,
-                                 Tensor(hs.data[j:j + 1]), "eval")
-            _class_argmax(ops.softmax(logits.data),
-                          out[start + j:start + j + 1])
-        return [functools.partial(task, j) for j in range(len(maps))]
+    def decode(z, maps, hidden):
+        with no_grad():
+            logits = _decode(params, maps, Tensor(hidden), "eval")
+        _class_argmax(ops.softmax(logits.data), out[z:z + 1])
 
-    with _frame_threads() as run:
-        lead = lambda: []  # the window before the first has no decoder
+    with _frame_pool() as pool:
+        def submit(fn, *args):
+            task = functools.partial(fn, *args)
+            return pool.submit(task), task
+
+        def encoders(start):
+            return [submit(encode, z)
+                    for z in range(start, min(start + seq_len, d))]
+        maps = _results(encoders(0))
         for start in range(0, d, seq_len):
-            maps, tasks = encoder_tasks(start)
-            run(lead, tasks)
-            lead = functools.partial(decoder_tasks, start, maps)
-        run(lead, [])
+            tasks = encoders(start + seq_len)
+            encoded = len(tasks)
+            with no_grad():
+                hs = convlstm_sequence(
+                    Tensor(np.concatenate([frame[-1].data for frame in maps])),
+                    params.lstm)
+            tasks += [submit(decode, start + j, frame, hs.data[j:j + 1])
+                      for j, frame in enumerate(maps)]
+            maps = _results(tasks)[:encoded]
     return out
 
 
+def _results(tasks):
+    """The results, in order, of a list of (future, task) pairs. This
+    thread runs each task whose future it can still cancel, that is, one
+    no worker has started, and waits for the others. Workers take tasks
+    first in, first out, so it takes them last first; a task's error is
+    raised here."""
+    ran = {}
+    for i in range(len(tasks) - 1, -1, -1):
+        future, task = tasks[i]
+        if future.cancel():
+            ran[i] = task()
+    return [ran[i] if i in ran else future.result()
+            for i, (future, _) in enumerate(tasks)]
+
+
 @contextmanager
-def _frame_threads():
-    """Yields run(lead, tasks). It calls lead() on this thread while
-    the workers start on the list of tasks; the tasks lead returns join
-    them, and this thread and the workers then take one task at a time
-    until all are done. There is one worker per further core of
-    os.sched_getaffinity(0), living as long as the block. An error that
-    lead or a task raises drops the tasks not yet started, and run raises
-    it once no task runs any more. BLAS runs on one thread meanwhile, so
-    that the threads do not contend for cores, and its thread count is
-    restored on the way out. On one core, where the platform does not
+def _frame_pool():
+    """A ThreadPoolExecutor with a worker for each core of
+    os.sched_getaffinity(0) but the calling thread's, living as long as
+    the block. BLAS runs on one thread meanwhile, so that the threads do
+    not contend for cores. On the way out, also after an error, tasks not
+    yet started are cancelled, running ones are waited for and BLAS's
+    thread count is restored. On one core, where the platform does not
     tell the cores a process may use, or where numpy's BLAS offers no
-    thread control, run uses no worker. A pool thread does not inherit
-    the caller's no_grad(): tasks enter it themselves."""
-    workers = (len(os.sched_getaffinity(0)) - 1
-               if hasattr(os, "sched_getaffinity") else 0)
-    blas = _blas_threads() if workers else None
-    if blas is None:
-        yield functools.partial(_share, None, 0)
-        return
+    thread control, the pool has one worker and BLAS is left as it is.
+    A worker does not inherit the caller's no_grad(): tasks enter it
+    themselves."""
     from concurrent.futures import ThreadPoolExecutor
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
+    cores = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else 1)
+    blas = _blas_threads() if cores > 1 else None
+    pool = ThreadPoolExecutor(cores - 1 if blas else 1)
+    if blas:
+        get_threads, set_threads = blas
+        threads = get_threads()
+        set_threads(1)
     try:
-        with ThreadPoolExecutor(workers) as pool:
-            yield functools.partial(_share, pool, workers)
+        yield pool
     finally:
-        set_threads(threads)
-
-
-def _share(pool, workers, lead, tasks):
-    # run(lead, tasks) of _frame_threads, with up to `workers` threads of
-    # the pool: one per task before lead, and after it as many as the
-    # queue then has work for
-    queue = collections.deque(tasks)
-    futures = [pool.submit(_drain, queue)
-               for _ in range(min(workers, len(queue)))]
-    try:
-        queue.extend(lead())
-        futures += [pool.submit(_drain, queue)
-                    for _ in range(min(workers - len(futures), len(queue) - 1))]
-        _drain(queue)
-    finally:
-        queue.clear()  # after an error, the workers stop after their task
-        errors = [f.exception() for f in futures]  # waits for each
-    for error in errors:
-        if error is not None:
-            raise error
-
-
-def _drain(queue):
-    # run tasks off the shared queue until it is empty; a failed task
-    # empties it, so the other threads stop after their current task
-    try:
-        while True:
-            try:
-                task = queue.popleft()
-            except IndexError:
-                return
-            task()
-    except BaseException:
-        queue.clear()
-        raise
+        pool.shutdown(cancel_futures=True)
+        if blas:
+            set_threads(threads)
 
 
 @functools.cache

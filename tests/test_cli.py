@@ -278,6 +278,53 @@ class TestCaseExtents:
         assert not out.exists()
 
 
+class TestModalityCount:
+    """An image with other than modality_count modalities is a data error
+    that names its file, found before train makes --out and before eval
+    or predict predicts."""
+
+    @pytest.fixture
+    def corpus(self, tiny_data):
+        path = tiny_data / "case_1_img.mmv"
+        img, _ = read_volume(path)
+        write_volume(path, img[:3], "modal")
+        return tiny_data
+
+    def test_train_rejects_before_making_output(self, corpus, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        assert run("train", "--data", str(corpus), "--out", str(out)) \
+            == EXIT_DATA
+        assert "case_1_img.mmv has 3 modalities" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_rejects_before_predicting(self, corpus, tmp_path, capsys,
+                                            monkeypatch):
+        predicted = []
+        monkeypatch.setattr(cli, "predict_volume",
+                            lambda *a: predicted.append(a))
+        ckpt = tmp_path / "m.mmck"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        report = tmp_path / "report.txt"
+        assert run("eval", "--model", str(ckpt), "--data", str(corpus),
+                   "--report", str(report)) == EXIT_DATA
+        assert "case_1_img.mmv has 3 modalities" in capsys.readouterr().err
+        assert predicted == [] and not report.exists()
+
+    def test_predict_rejects_before_predicting(self, corpus, tmp_path,
+                                               capsys, monkeypatch):
+        predicted = []
+        monkeypatch.setattr(cli, "predict_volume",
+                            lambda *a: predicted.append(a))
+        ckpt, out = tmp_path / "m.mmck", tmp_path / "o.mmv"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        volume = corpus / "case_1_img.mmv"
+        assert run("predict", "--model", str(ckpt), "--volume", str(volume),
+                   "--out", str(out)) == EXIT_DATA
+        assert f"{volume} has 3 modalities" in capsys.readouterr().err
+        assert predicted == [] and not out.exists()
+
+
 class TestLabelRange:
     """A label at or above class_count is a data error that names its
     file, found before train makes --out and before eval predicts."""
@@ -432,6 +479,19 @@ class TestPredict:
         assert run("predict", "--model", str(ckpt), "--volume", str(path),
                    "--out", str(tmp_path / "o.mmv")) == EXIT_DATA
         assert not (tmp_path / "o.mmv").exists()
+
+    def test_nonfinite_checkpoint_weight_is_data_error(self, tiny_data,
+                                                       tmp_path, capsys):
+        params = init_params(ModelConfig(seed=1, encoder_channels=(2, 3, 4, 5),
+                                         sequence_length=2))
+        params.cls_kernel.data[0, 0] = np.nan
+        ckpt, out = tmp_path / "nan.mmck", tmp_path / "o.mmv"
+        save_checkpoint(ckpt, params)
+        assert run("predict", "--model", str(ckpt),
+                   "--volume", str(tiny_data / "case_0_img.mmv"),
+                   "--out", str(out)) == EXIT_DATA
+        assert "cls.kernel holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_checkpoint_tensor_is_data_error(self, ckpt, tiny_data,
                                                      tmp_path):

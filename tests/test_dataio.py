@@ -196,6 +196,17 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="declares"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["dec1.conv.kernel",
+                                      "enc2.s1.bn.running_var"])
+    def test_nonfinite_record_is_format_error(self, tmp_path, name, value):
+        params = self.make()
+        params.records()[name].flat[-1] = value
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, params)
+        with pytest.raises(FormatError, match=f"{name} holds a non-finite"):
+            load_checkpoint(path)
+
     def test_too_many_dims_is_format_error(self, tmp_path):
         # 65 dims, one of them 0: a well-sized empty payload numpy cannot
         # reshape

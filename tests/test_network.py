@@ -1,7 +1,6 @@
 """Model assembly: init, shapes, determinism, symmetry, graph-free
 inference, memory, prediction."""
 
-import functools
 import os
 import sys
 import threading
@@ -471,13 +470,21 @@ def window_labels(params, volume, seq_len):
 
 def cores(monkeypatch, n):
     """Make os.sched_getaffinity report n cores, so predict_volume runs
-    n - 1 worker threads."""
+    n - 1 worker threads, and at least one."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def slice_numbered(shape):
+    """A float32 (M, D, H, W) volume whose slice z holds the value z, so
+    that a patched _encode can tell which slice it was given."""
+    vol = np.empty(shape, np.float32)
+    vol[...] = np.arange(shape[1], dtype=np.float32)[:, None, None]
+    return vol
 
 
 def needs_blas_threads():
     if network._blas_threads() is None:
-        pytest.skip("numpy's BLAS offers no thread control: no worker runs")
+        pytest.skip("numpy's BLAS offers no thread control: one worker runs")
 
 
 class MeetingEncode:
@@ -505,7 +512,8 @@ class MeetingEncode:
 
 class TestFrameThreads:
     """predict_volume runs a window's encoder and decoder frame by frame,
-    shared by this thread and a worker thread per further core."""
+    shared by this thread and a worker thread per further core, and its
+    convLSTM on this thread."""
 
     @pytest.mark.parametrize("n_cores", [1, 2, 4])
     def test_labels_equal_window_forward(self, n_cores, monkeypatch):
@@ -533,13 +541,13 @@ class TestFrameThreads:
     def test_worker_runs_frames_without_graph(self, monkeypatch):
         needs_blas_threads()
         cores(monkeypatch, 2)
-        encode = MeetingEncode(poison=False)
-        monkeypatch.setattr(network, "_encode", encode)
         params = init_params(ModelConfig(seed=25, **TINY))
         vol = np.random.default_rng(26).standard_normal(
             (4, 5, 16, 16)).astype(np.float32)
-        np.testing.assert_array_equal(predict_volume(params, vol, 2),
-                                      window_labels(params, vol, 2))
+        want = window_labels(params, vol, 2)
+        encode = MeetingEncode(poison=False)
+        monkeypatch.setattr(network, "_encode", encode)
+        np.testing.assert_array_equal(predict_volume(params, vol, 2), want)
         assert len({thread for thread, _, _ in encode.calls}) == 2
         assert not any(recording for _, recording, _ in encode.calls)
         for _, _, maps in encode.calls:
@@ -606,69 +614,96 @@ class TestFrameThreads:
         finally:
             set_threads(outer)
 
-    def test_lead_runs_beside_the_tasks(self, monkeypatch):
-        # lead() on this thread meets a task on the worker; the tasks it
-        # returns run too
-        needs_blas_threads()
-        cores(monkeypatch, 2)
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_convlstm_runs_beside_the_next_encoders(self, n_cores,
+                                                    monkeypatch):
+        # window 0's convLSTM on this thread meets window 1's first
+        # encoder on a worker
+        cores(monkeypatch, n_cores)
         barrier, where = threading.Barrier(2, timeout=30), {}
+        encode, lstm = network._encode, network.convlstm_sequence
 
-        def lead():
-            where["lead"] = threading.get_ident()
-            barrier.wait()
-            return [lambda: where.setdefault("more", True)]
+        def encoding(params, x_seq, mode):
+            if x_seq[0, 0, 0, 0] == 2:
+                where["encoder"] = threading.get_ident()
+                barrier.wait()
+            return encode(params, x_seq, mode)
 
-        def task():
-            where["task"] = threading.get_ident()
-            barrier.wait()
-        with network._frame_threads() as run:
-            run(lead, [task])
-        assert where["lead"] == threading.get_ident() != where["task"]
-        assert where["more"]
+        def sequence(*args):
+            if not lstm_threads:
+                barrier.wait()
+            lstm_threads.append(threading.get_ident())
+            return lstm(*args)
+        lstm_threads = []
+        monkeypatch.setattr(network, "_encode", encoding)
+        monkeypatch.setattr(network, "convlstm_sequence", sequence)
+        params = init_params(ModelConfig(seed=31, **TINY))
+        predict_volume(params, slice_numbered((4, 4, 16, 16)), 2)
+        assert lstm_threads == [threading.get_ident()] * 2
+        assert where["encoder"] != threading.get_ident()
 
-    def test_lead_tasks_shared_when_none_came_before(self, monkeypatch):
-        # the last window's decoder tasks alone still use both threads
-        needs_blas_threads()
+    def test_last_window_decoders_run_on_two_threads(self, monkeypatch):
+        # a single window's two decoder tasks meet on this thread and a
+        # worker
         cores(monkeypatch, 2)
         barrier, threads = threading.Barrier(2, timeout=30), set()
+        decode = network._decode
 
-        def task():
+        def decoded(*args):
             threads.add(threading.get_ident())
             barrier.wait()
-        with network._frame_threads() as run:
-            run(lambda: [task, task], [])
-        assert len(threads) == 2
+            return decode(*args)
+        monkeypatch.setattr(network, "_decode", decoded)
+        params = init_params(ModelConfig(seed=32, **TINY))
+        predict_volume(params, np.ones((4, 2, 16, 16), np.float32), 2)
+        assert len(threads) == 2 and threading.get_ident() in threads
 
-    def test_each_task_runs_once_under_stress(self, monkeypatch):
-        # three workers on a short switch interval: a task lost or run
-        # twice shows in its own count
+    def test_each_frame_runs_once_under_stress(self, monkeypatch):
+        # three workers and this thread on a short switch interval, five
+        # times over: a frame lost or run twice shows in the calls or in
+        # the labels
         needs_blas_threads()
         cores(monkeypatch, 4)
-        counts = [0] * 200
+        params = init_params(ModelConfig(seed=33, **TINY))
+        vol = slice_numbered((4, 9, 16, 16))
+        want = window_labels(params, vol, 2)
+        encode, decode = network._encode, network._decode
+        encoded, decoded = [], []
 
-        def bump(i):
-            counts[i] += 1
+        def encoding(params, x_seq, mode):
+            maps = encode(params, x_seq, mode)
+            encoded.append((int(x_seq[0, 0, 0, 0]), maps))
+            return maps
 
-        def tasks(lo, hi):
-            return [functools.partial(bump, i) for i in range(lo, hi)]
+        def decoding(params, cmc_maps, d, mode):
+            decoded.append(next(z for z, maps in encoded if maps is cmc_maps))
+            return decode(params, cmc_maps, d, mode)
+        monkeypatch.setattr(network, "_encode", encoding)
+        monkeypatch.setattr(network, "_decode", decoding)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with network._frame_threads() as run:
-                for _ in range(5):
-                    run(lambda: tasks(100, 200), tasks(0, 100))
+            got = [predict_volume(params, vol, 2) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
-        assert counts == [5] * 200
+        assert sorted(z for z, _ in encoded) == sorted(list(range(9)) * 5)
+        assert sorted(decoded) == sorted(list(range(9)) * 5)
+        for labels in got:
+            np.testing.assert_array_equal(labels, want)
 
-    def test_failed_task_drops_the_rest(self, monkeypatch):
-        cores(monkeypatch, 1)
-        ran = []
+    def test_failed_frame_stops_later_windows(self, monkeypatch):
+        # a NaN slice in window 0 raises, and no encoder of window 2 or
+        # later starts
+        cores(monkeypatch, 4)
+        encode, started = network._encode, []
 
-        def fail():
-            raise NumericalError("boom")
-        with network._frame_threads() as run:
-            with pytest.raises(NumericalError, match="boom"):
-                run(lambda: [lambda: ran.append(2)],
-                    [lambda: ran.append(0), fail, lambda: ran.append(1)])
-        assert ran == [0]
+        def encoding(params, x_seq, mode):
+            started.append(x_seq[0, 0, 0, 0])
+            return encode(params, x_seq, mode)
+        monkeypatch.setattr(network, "_encode", encoding)
+        vol = slice_numbered((4, 8, 16, 16))
+        vol[:, 0] = np.nan
+        params = init_params(ModelConfig(seed=34, **TINY))
+        with pytest.raises(NumericalError):
+            predict_volume(params, vol, 2)
+        assert started and not any(z >= 4 for z in started)
