@@ -107,13 +107,19 @@ def load_cases(data_dir):
             raise FormatError(
                 f"{name} has (D, H, W) {img.shape[1:]} but {lbl_name} has "
                 f"{lbl.shape}")
-        div = 2 ** N_SCALES
-        if img.shape[2] % div or img.shape[3] % div:
-            raise FormatError(
-                f"{name} has H x W {img.shape[2]}x{img.shape[3]}; both must "
-                f"be divisible by {div}")
+        check_extents(name, img)
         cases[lbl_name] = (normalize_volume(img), lbl)
     return cases
+
+
+def check_extents(name, img):
+    """A data error naming the image file if the H or W of its
+    (M, D, H, W) volume does not divide by 2**N_SCALES."""
+    div = 2 ** N_SCALES
+    if img.shape[2] % div or img.shape[3] % div:
+        raise FormatError(
+            f"{name} has H x W {img.shape[2]}x{img.shape[3]}; both must "
+            f"be divisible by {div}")
 
 
 def check_cases(cases, config):
@@ -209,6 +215,7 @@ def cmd_predict(args):
     if kind != "modal":
         raise FormatError(f"{args.volume} is not a modal volume")
     check_modalities(args.volume, volume, config)
+    check_extents(args.volume, volume)
     labels = predict_volume(params, normalize_volume(volume),
                             config.sequence_length)
     atomic_write(args.out, lambda p: write_volume(p, labels, "label"))

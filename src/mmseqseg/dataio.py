@@ -32,27 +32,7 @@ T1C_CHANNEL = 3
 
 
 class FormatError(ValueError):
-    """Base class for file-format violations."""
-
-
-class BadMagicError(FormatError):
-    pass
-
-
-class TruncatedPayloadError(FormatError):
-    pass
-
-
-class UnknownDtypeError(FormatError):
-    pass
-
-
-class VersionError(FormatError):
-    pass
-
-
-class NameCollisionError(FormatError):
-    pass
+    """A file-format violation; the message says which."""
 
 
 def _bytes_left(f):
@@ -64,7 +44,7 @@ def _check_left(f, n, what):
     # the file before anything of n bytes is allocated
     left = _bytes_left(f)
     if n > left:
-        raise TruncatedPayloadError(
+        raise FormatError(
             f"{what} declares {n} bytes, the file has {left} left")
 
 
@@ -72,7 +52,7 @@ def _read_exact(f, n, what):
     _check_left(f, n, what)
     buf = f.read(n)
     if len(buf) != n:
-        raise TruncatedPayloadError(f"truncated payload while reading {what}")
+        raise FormatError(f"truncated payload while reading {what}")
     return buf
 
 
@@ -84,7 +64,7 @@ def _read_array(f, shape, dtype, what):
     _check_left(f, n, what)
     arr = np.empty(shape, dtype=dtype)
     if f.readinto(arr.reshape(-1).view(np.uint8)) != n:
-        raise TruncatedPayloadError(f"truncated payload while reading {what}")
+        raise FormatError(f"truncated payload while reading {what}")
     return arr
 
 
@@ -119,7 +99,7 @@ def read_volume(path):
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != MAGIC_VOLUME:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC_VOLUME!r}")
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC_VOLUME!r}")
         c, d, h, w = struct.unpack("<4I", _read_exact(f, 16, "header dims"))
         if not c * d * h * w:
             raise FormatError(f"volume declares an empty extent {(c, d, h, w)}")
@@ -133,9 +113,9 @@ def read_volume(path):
             arr = _read_array(f, (d, h, w), np.uint8, "u8 payload")
             kind = "label"
         else:
-            raise UnknownDtypeError(f"unknown dtype code {code}")
+            raise FormatError(f"unknown dtype code {code}")
         if f.read(1):
-            raise TruncatedPayloadError("trailing bytes after payload")
+            raise FormatError("trailing bytes after payload")
     return arr, kind
 
 
@@ -164,10 +144,11 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != MAGIC_CHECKPOINT:
-            raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC_CHECKPOINT!r}")
+            raise FormatError(
+                f"bad magic {magic!r}, expected {MAGIC_CHECKPOINT!r}")
         (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
         if version != CHECKPOINT_VERSION:
-            raise VersionError(f"unsupported checkpoint version {version}")
+            raise FormatError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
         config = _parse_model_config(
             _decode(_read_exact(f, cfg_len, "config"), "config"))
@@ -175,7 +156,7 @@ def load_checkpoint(path):
         need = parameter_count(config)
         left = _bytes_left(f) // 4
         if need > left:
-            raise TruncatedPayloadError(
+            raise FormatError(
                 f"config declares {need} parameters, the file holds at most "
                 f"{left} values")
         tensors = {}
@@ -184,11 +165,11 @@ def load_checkpoint(path):
             if not head:
                 break
             if len(head) != 4:
-                raise TruncatedPayloadError("truncated tensor name length")
+                raise FormatError("truncated tensor name length")
             (nlen,) = struct.unpack("<I", head)
             name = _decode(_read_exact(f, nlen, "tensor name"), "tensor name")
             if name in tensors:
-                raise NameCollisionError(f"duplicate tensor name {name}")
+                raise FormatError(f"duplicate tensor name {name}")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
             if ndim > MAX_NDIM:
                 raise FormatError(f"{name} declares {ndim} dims, a model "
@@ -200,7 +181,7 @@ def load_checkpoint(path):
 
     def stored(name, like):
         if name not in tensors:
-            raise TruncatedPayloadError(f"checkpoint missing tensor {name}")
+            raise FormatError(f"checkpoint missing tensor {name}")
         if tensors[name].shape != like.shape:
             raise FormatError(f"shape mismatch for {name}")
         return tensors[name]

@@ -1,13 +1,16 @@
 """The full gradient-check battery: every differentiable layer plus a
 3-step recurrence unroll and an end-to-end probe through the whole
-network. Runs in float64.
+network. Runs in float64. Most entries are rows of one op check,
+`_op_check`. It looks its op up by name each time it calls it, never
+when the table is built, so a tracer that rebinds module attributes
+sees every call.
 """
 
 import numpy as np
 
-from . import ops
+from . import crossmodal, ops
 from .convlstm import ConvLstmParams, ConvLstmState, convlstm_sequence, convlstm_step
-from .crossmodal import CmcParams, cmc_forward, mrf_fuse
+from .crossmodal import CmcParams, cmc_forward
 from .gradcheck import grad_check
 from .network import ModelConfig, forward_logits, init_params
 from .ops import BatchNormParams
@@ -18,22 +21,19 @@ def _t(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-def check_conv2d(seed, tol):
-    rng = np.random.default_rng(seed)
-    ts = {"x": _t(rng, 2, 3, 6, 6), "k": _t(rng, 4, 3, 3, 3), "b": _t(rng, 4)}
-    coeffs = rng.standard_normal((2, 4, 6, 6))
-    return grad_check(
-        lambda: ops.project(ops.conv2d(ts["x"], ts["k"], ts["b"]), coeffs),
-        ts, tolerance=tol)
+def _op_check(module, op, shapes, out_shape):
+    """check(seed, tol) of getattr(module, op): it draws one input per
+    entry of shapes (name -> shape), in order, as the op's arguments,
+    then the coefficients of the out_shape projection."""
+    def check(seed, tol):
+        rng = np.random.default_rng(seed)
+        ts = {name: _t(rng, *shape) for name, shape in shapes.items()}
+        coeffs = rng.standard_normal(out_shape)
+        return grad_check(
+            lambda: ops.project(getattr(module, op)(*ts.values()), coeffs),
+            ts, tolerance=tol)
 
-
-def check_conv_transpose2d(seed, tol):
-    rng = np.random.default_rng(seed)
-    ts = {"x": _t(rng, 1, 2, 4, 4), "k": _t(rng, 2, 3, 2, 2), "b": _t(rng, 3)}
-    coeffs = rng.standard_normal((1, 3, 8, 8))
-    return grad_check(
-        lambda: ops.project(ops.conv_transpose2d(ts["x"], ts["k"], ts["b"]), coeffs),
-        ts, tolerance=tol)
+    return check
 
 
 def check_batchnorm(seed, tol):
@@ -46,33 +46,6 @@ def check_batchnorm(seed, tol):
     return grad_check(
         lambda: ops.project(ops.batchnorm(ts["x"], bn, "train"), coeffs),
         ts, tolerance=tol)
-
-
-def _check_activation(fn, seed, tol):
-    rng = np.random.default_rng(seed)
-    ts = {"x": _t(rng, 2, 3, 4, 4)}
-    coeffs = rng.standard_normal((2, 3, 4, 4))
-    return grad_check(lambda: ops.project(fn(ts["x"]), coeffs), ts, tolerance=tol)
-
-
-def check_relu(seed, tol):
-    return _check_activation(ops.relu, seed, tol)
-
-
-def check_sigmoid(seed, tol):
-    return _check_activation(ops.sigmoid, seed, tol)
-
-
-def check_tanh(seed, tol):
-    return _check_activation(ops.tanh, seed, tol)
-
-
-def check_maxpool(seed, tol):
-    rng = np.random.default_rng(seed)
-    ts = {"x": _t(rng, 2, 2, 6, 6)}
-    coeffs = rng.standard_normal((2, 2, 3, 3))
-    return grad_check(lambda: ops.project(ops.maxpool2x2(ts["x"]), coeffs),
-                      ts, tolerance=tol)
 
 
 def check_softmax_ce(seed, tol):
@@ -95,14 +68,6 @@ def check_cmc(seed, tol):
     return grad_check(
         lambda: ops.project(cmc_forward(ts["stack"], cmc), coeffs),
         ts, tolerance=tol)
-
-
-def check_mrf(seed, tol):
-    rng = np.random.default_rng(seed)
-    ts = {"a": _t(rng, 2, 3, 4, 4), "b": _t(rng, 2, 3, 4, 4)}
-    coeffs = rng.standard_normal((2, 3, 4, 4))
-    return grad_check(lambda: ops.project(mrf_fuse(ts["a"], ts["b"]), coeffs),
-                      ts, tolerance=tol)
 
 
 def _tiny_lstm(rng):
@@ -160,17 +125,23 @@ def check_end_to_end(seed, tol):
         rng=np.random.default_rng(seed + 1))
 
 
+ACTIVATION = {"x": (2, 3, 4, 4)}  # the input of each activation row
+
 CHECKS = [
-    ("conv2d", check_conv2d, 1e-4),
-    ("conv_transpose2d", check_conv_transpose2d, 1e-4),
-    ("maxpool2x2", check_maxpool, 1e-4),
+    ("conv2d", _op_check(ops, "conv2d", {
+        "x": (2, 3, 6, 6), "k": (4, 3, 3, 3), "b": (4,)}, (2, 4, 6, 6)), 1e-4),
+    ("conv_transpose2d", _op_check(ops, "conv_transpose2d", {
+        "x": (1, 2, 4, 4), "k": (2, 3, 2, 2), "b": (3,)}, (1, 3, 8, 8)), 1e-4),
+    ("maxpool2x2", _op_check(ops, "maxpool2x2", {"x": (2, 2, 6, 6)},
+                             (2, 2, 3, 3)), 1e-4),
     ("batchnorm", check_batchnorm, 1e-4),
-    ("relu", check_relu, 1e-4),
-    ("sigmoid", check_sigmoid, 1e-4),
-    ("tanh", check_tanh, 1e-4),
+    ("relu", _op_check(ops, "relu", ACTIVATION, (2, 3, 4, 4)), 1e-4),
+    ("sigmoid", _op_check(ops, "sigmoid", ACTIVATION, (2, 3, 4, 4)), 1e-4),
+    ("tanh", _op_check(ops, "tanh", ACTIVATION, (2, 3, 4, 4)), 1e-4),
     ("softmax_ce_loss", check_softmax_ce, 1e-4),
     ("cmc_forward", check_cmc, 1e-4),
-    ("mrf_fuse", check_mrf, 1e-4),
+    ("mrf_fuse", _op_check(crossmodal, "mrf_fuse", {
+        "a": (2, 3, 4, 4), "b": (2, 3, 4, 4)}, (2, 3, 4, 4)), 1e-4),
     ("convlstm_step", check_convlstm_step, 1e-4),
     ("convlstm_sequence", check_convlstm_sequence, 1e-4),
     ("end_to_end", check_end_to_end, 1e-3),

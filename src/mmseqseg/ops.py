@@ -326,10 +326,10 @@ def _bn(x, params, mode):
     # conv_bn_relu_pool, over the (N, C, H, W) array x. Returns (a, b,
     # backward): the per-channel affine x * a + b, from the batch's
     # statistics in train mode (which also update the running
-    # statistics), else from the running ones; and backward(g, need_dx),
-    # which takes an upstream gradient g to scale and shift and, if
-    # need_dx, writes the gradient of x into g and returns it (else None).
-    # So g must be a buffer the caller owns, never a tensor's .grad
+    # statistics), else from the running ones; and backward(g), which
+    # takes an upstream gradient g to scale and shift, then writes the
+    # gradient of x into g and returns it. So g must be a buffer the
+    # caller owns, never a tensor's .grad
     n, c, h, w = x.shape
     if params.scale.size != c:
         raise ShapeError(f"batchnorm channel mismatch: {params.scale.size} vs {c}")
@@ -356,7 +356,7 @@ def _bn(x, params, mode):
     a = scale.data * inv_std
     b = shift.data - mean * a
 
-    def backward(g, need_dx):
+    def backward(g):
         gsum = g.sum(axis=(0, 2, 3))
         # xhat is recomputed here, not held from the forward, one block of
         # channels at a time; each block's train-mode dx needs only its
@@ -366,7 +366,7 @@ def _bn(x, params, mode):
             xhat = np.subtract(x[:, cs], mean[cs, None, None])
             xhat *= inv_std[cs, None, None]
             gxhat.append((g[:, cs] * xhat).sum(axis=(0, 2, 3)))
-            if need_dx and mode == "train":
+            if mode == "train":
                 xhat *= (gxhat[-1] / m)[:, None, None]
                 dx = g[:, cs]
                 dx -= (gsum[cs] / m)[:, None, None]
@@ -376,8 +376,6 @@ def _bn(x, params, mode):
             shift._accumulate(gsum)
         if scale.requires_grad:
             scale._accumulate(np.concatenate(gxhat))
-        if not need_dx:
-            return None
         if mode == "eval":
             g *= a[:, None, None]
         return g
@@ -394,8 +392,8 @@ def batchnorm(x, params, mode):
     out += b[:, None, None]
 
     def backward(g):
-        dx = bn_backward(g.copy(), x.requires_grad)
-        if dx is not None:
+        dx = bn_backward(g.copy())
+        if x.requires_grad:
             x._accumulate(dx)
 
     return make_node(out, (x, params.scale, params.shift), backward,
@@ -429,9 +427,7 @@ def _conv_bn(x, kernel, bn, mode, groups):
         return out
 
     def backward(dz):
-        dy = bn_backward(dz, x.requires_grad or kernel.requires_grad)
-        if dy is not None:
-            conv_backward(dy)
+        conv_backward(bn_backward(dz))
 
     z = affine(np.empty_like(y) if records_graph(parents) else y)
     return parents, z, affine, backward

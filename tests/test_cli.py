@@ -462,13 +462,14 @@ class TestPredict:
         assert read_volume(out)[0].shape == (16, 16, 16)
 
     def test_indivisible_extent_rejected(self, ckpt, tmp_path, capsys):
-        # reported by the model's own extent check
+        # reported by predict's own extent check, which names the file
         vol = np.zeros((4, 4, 20, 20), dtype=np.float32)
         path = tmp_path / "v.mmv"
         write_volume(path, vol, "modal")
         assert run("predict", "--model", str(ckpt), "--volume", str(path),
                    "--out", str(tmp_path / "o.mmv")) == EXIT_DATA
-        assert "divisible by 16, got 20x20" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path} has H x W 20x20" in err and "divisible by 16" in err
         assert not (tmp_path / "o.mmv").exists()
 
     def test_forged_volume_header_is_data_error(self, ckpt, tmp_path):

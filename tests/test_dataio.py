@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from mmseqseg import dataio
-from mmseqseg.dataio import (BadMagicError, FormatError, NameCollisionError,
-                             TruncatedPayloadError, UnknownDtypeError,
-                             VersionError, gen_synthetic_case, load_checkpoint,
+from mmseqseg.cli import EXIT_DATA, main
+from mmseqseg.dataio import (FormatError, gen_synthetic_case, load_checkpoint,
                              normalize_volume, read_volume, save_checkpoint,
                              write_volume)
 from mmseqseg.network import (ModelConfig, ModelParams, forward, init_params,
@@ -78,7 +77,7 @@ class TestVolumeFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mmv"
         path.write_bytes(b"NOPE" + bytes(32))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FormatError, match="bad magic b'NOPE'"):
             read_volume(path)
 
     def test_truncation_detected(self, tmp_path):
@@ -87,7 +86,7 @@ class TestVolumeFormat:
         write_volume(path, vol, "modal")
         data = path.read_bytes()
         path.write_bytes(data[:-1])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(FormatError, match="f32 payload declares"):
             read_volume(path)
 
     @pytest.mark.parametrize("code", [0, 1])
@@ -121,7 +120,7 @@ class TestVolumeFormat:
         data = bytearray(path.read_bytes())
         data[20] = 9  # dtype code byte
         path.write_bytes(bytes(data))
-        with pytest.raises(UnknownDtypeError):
+        with pytest.raises(FormatError, match="unknown dtype code 9"):
             read_volume(path)
 
     def test_bad_kind_rejected(self, tmp_path):
@@ -160,7 +159,7 @@ class TestCheckpointFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.mmck"
         path.write_bytes(b"XXXX" + bytes(16))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FormatError, match="bad magic b'XXXX'"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -170,7 +169,8 @@ class TestCheckpointFormat:
         data = bytearray(path.read_bytes())
         data[4] = 99
         path.write_bytes(bytes(data))
-        with pytest.raises(VersionError):
+        with pytest.raises(FormatError,
+                           match="unsupported checkpoint version 99"):
             load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
@@ -179,8 +179,27 @@ class TestCheckpointFormat:
         save_checkpoint(path, params)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(FormatError, match="the file holds at most"):
             load_checkpoint(path)
+
+    def test_duplicate_record_name(self, tmp_path, capsys):
+        # the first record written again at the end of the file
+        params = self.make()
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        _, start = checkpoint_config(data)
+        name, first = next(iter(params.records().items()))
+        end = start + 4 + len(name) + 4 + 4 * first.ndim + 4 * first.size
+        path.write_bytes(data + data[start:end])
+        with pytest.raises(FormatError, match=f"duplicate tensor name {name}"):
+            load_checkpoint(path)
+        volume = tmp_path / "v.mmv"
+        write_volume(volume, np.zeros((4, 2, 16, 16), np.float32), "modal")
+        assert main(["predict", "--model", str(path), "--volume", str(volume),
+                     "--out", str(tmp_path / "o.mmv")]) == EXIT_DATA
+        assert f"duplicate tensor name {name}" in capsys.readouterr().err
+        assert not (tmp_path / "o.mmv").exists()
 
     @pytest.mark.parametrize("record", [
         struct.pack("<I", 0xFFFFFFFF),

@@ -898,19 +898,27 @@ class TestBlockedBatchNormBackward:
         g = rng.standard_normal(shape).astype(dtype)
         dx, dscale, dshift = whole_array_bn_backward(x, bn, mode, g)
         buf = g.copy()
-        assert ops._bn(x, bn, mode)[2](buf, True) is buf
+        assert ops._bn(x, bn, mode)[2](buf) is buf
         assert_bits(buf, dx)
         assert_bits(bn.scale.grad, dscale)
         assert_bits(bn.shift.grad, dshift)
 
-    def test_without_dx_leaves_the_buffer(self):
+    def test_input_without_grad_keeps_scale_and_shift_bits(self):
+        # the backward always computes dx; batchnorm accumulates it only
+        # into an input that requires a gradient, and the scale and shift
+        # gradients do not depend on whether it does
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 8, 16, 16))
         g = rng.standard_normal(x.shape)
-        buf = g.copy()
-        assert ops._bn(x, BatchNormParams(8, np.float64), "train")[2](
-            buf, False) is None
-        assert_bits(buf, g)
+        grads = []
+        for requires_grad in (False, True):
+            bn = BatchNormParams(8, np.float64)
+            xt = Tensor(x, requires_grad=requires_grad)
+            ops.project(ops.batchnorm(xt, bn, "train"), g).backward()
+            assert (xt.grad is None) != requires_grad
+            grads.append((bn.scale.grad, bn.shift.grad))
+        for without, with_dx in zip(*grads):
+            assert_bits(without, with_dx)
 
     @pytest.mark.parametrize("c", [1, 2, 3, 5, 8, 64, 256])
     @pytest.mark.parametrize("channel_bytes", [1, 12288, 1 << 20])
