@@ -216,8 +216,8 @@ def cmd_predict(args):
         raise FormatError(f"{args.volume} is not a modal volume")
     check_modalities(args.volume, volume, config)
     check_extents(args.volume, volume)
-    labels = predict_volume(params, normalize_volume(volume),
-                            config.sequence_length)
+    volume = normalize_volume(volume)  # the raw copy dies before predicting
+    labels = predict_volume(params, volume, config.sequence_length)
     atomic_write(args.out, lambda p: write_volume(p, labels, "label"))
     print(f"wrote label volume to {args.out}")
     return EXIT_OK

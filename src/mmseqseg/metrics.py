@@ -32,16 +32,28 @@ DEFAULT_REGIONS = (
 )
 
 
+SLAB = 1 << 16  # voxels confusion() indexes at a time
+
+
 def confusion(pred, truth, k):
-    """K x K counts; entry (t, p) = voxels with true t predicted p."""
+    """K x K counts; entry (t, p) = voxels with true t predicted p.
+    Counted one slab of voxels at a time, so that the int64 index is one
+    slab's, not the volume's."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {truth.shape}")
     if pred.max() >= k or truth.max() >= k:
         raise ValueError(f"labels must be below {k}")
-    idx = truth.reshape(-1).astype(np.int64) * k + pred.reshape(-1)
-    return np.bincount(idx, minlength=k * k).reshape(k, k)
+    pred, truth = pred.reshape(-1), truth.reshape(-1)
+    cm = np.zeros(k * k, dtype=np.int64)
+    for i in range(0, pred.size, SLAB):
+        idx = truth[i:i + SLAB].astype(np.int64)
+        idx *= k
+        idx += pred[i:i + SLAB]
+        cm += np.bincount(idx, minlength=k * k)
+        del idx  # before the next slab's is made
+    return cm.reshape(k, k)
 
 
 def mean_iu(cm):

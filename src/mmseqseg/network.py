@@ -20,15 +20,13 @@ node, bit for bit the separate conv2d, batchnorm and relu.
 `ModelParams.records()` names modality m's and each convLSTM gate's
 slices for the checkpoint.
 
-predict_volume runs each slice's encoder and decoder as a task on the
-executor of _frame_pool(), and each window's convLSTM, the one layer
-that links slices, on the calling thread, which also runs the tasks no
-worker has started when it needs their results.
+predict_volume runs the serial window loop on every core: each thread
+takes the next depth window and runs it whole, encoder, convLSTM (the
+one layer that links slices, and only within a window) and decoder.
 """
 
 import functools
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -332,97 +330,78 @@ def predict_volume(params, volume, seq_len):
     works per slice (batch norm runs on its running statistics). Ties go
     to the lowest class id.
 
-    Because every layer but the convLSTM works per slice, each slice's
-    encoder and CMC, and each slice's decoder, classifier and argmax,
-    run as tasks on _frame_pool(). This thread runs each window's
-    convLSTM, and the tasks no worker has started when it needs their
-    results (see _results). While it runs window k's convLSTM, the
-    workers encode window k+1; it then waits for those tasks and window
-    k's decoder tasks together, so the CMC maps of at most two windows
-    are live and a task's error is raised within one window. Each
-    frame's values are the ones forward() computes for it over the whole
-    window, bit for bit.
+    The convLSTM starts each window from a zero state, so windows are
+    independent jobs. _frame_pool() runs the serial window loop on this
+    thread and on a worker per further core; each thread takes the next
+    window start from one shared iterator and runs that window whole,
+    encoding its slices one at a time, running its convLSTM, then
+    decoding its slices one at a time into their own rows of the output.
+    So each thread holds one slice's working set and one window's CMC
+    maps, and a volume of fewer windows than cores runs on fewer cores.
+    After an error no thread takes another window, and the first error
+    is raised here. Each slice's values are the ones forward() computes
+    for it over the whole window, bit for bit.
     """
     volume = np.asarray(volume)
     m, d, h, w = volume.shape
     if d < 1:
         raise ShapeError("volume has no depth")
     out = np.empty((d, h, w), dtype=np.uint8)
+    # next() on a range iterator is one step under the GIL, so each
+    # start goes to one thread
+    starts, errors = iter(range(0, d, seq_len)), []
 
-    def encode(z):
-        with no_grad():
-            return _encode(params, volume[:, z:z + 1].transpose(1, 0, 2, 3),
-                           "eval")
+    def run_window(start):
+        x = volume[:, start:start + seq_len].transpose(1, 0, 2, 3)
+        maps = [_encode(params, x[j:j + 1], "eval") for j in range(len(x))]
+        hs = convlstm_sequence(Tensor(np.concatenate(
+            [frame[-1].data for frame in maps])), params.lstm)
+        for j, frame in enumerate(maps):
+            logits = _decode(params, frame, Tensor(hs.data[j:j + 1]), "eval")
+            _class_argmax(ops.softmax(logits.data), out[start + j, None])
 
-    def decode(z, maps, hidden):
-        with no_grad():
-            logits = _decode(params, maps, Tensor(hidden), "eval")
-        _class_argmax(ops.softmax(logits.data), out[z:z + 1])
-
-    with _frame_pool() as pool:
-        def submit(fn, *args):
-            task = functools.partial(fn, *args)
-            return pool.submit(task), task
-
-        def encoders(start):
-            return [submit(encode, z)
-                    for z in range(start, min(start + seq_len, d))]
-        maps = _results(encoders(0))
-        for start in range(0, d, seq_len):
-            tasks = encoders(start + seq_len)
-            encoded = len(tasks)
+    def windows():
+        try:
             with no_grad():
-                hs = convlstm_sequence(
-                    Tensor(np.concatenate([frame[-1].data for frame in maps])),
-                    params.lstm)
-            tasks += [submit(decode, start + j, frame, hs.data[j:j + 1])
-                      for j, frame in enumerate(maps)]
-            maps = _results(tasks)[:encoded]
+                for start in starts:
+                    run_window(start)
+        except BaseException as e:
+            errors.append(e)
+            for _ in starts:  # no thread takes another window
+                pass
+
+    _frame_pool(windows)
+    if errors:
+        raise errors[0]
     return out
 
 
-def _results(tasks):
-    """The results, in order, of a list of (future, task) pairs. This
-    thread runs each task whose future it can still cancel, that is, one
-    no worker has started, and waits for the others. Workers take tasks
-    first in, first out, so it takes them last first; a task's error is
-    raised here."""
-    ran = {}
-    for i in range(len(tasks) - 1, -1, -1):
-        future, task = tasks[i]
-        if future.cancel():
-            ran[i] = task()
-    return [ran[i] if i in ran else future.result()
-            for i, (future, _) in enumerate(tasks)]
-
-
-@contextmanager
-def _frame_pool():
-    """A ThreadPoolExecutor with a worker for each core of
-    os.sched_getaffinity(0) but the calling thread's, living as long as
-    the block. BLAS runs on one thread meanwhile, so that the threads do
-    not contend for cores. On the way out, also after an error, tasks not
-    yet started are cancelled, running ones are waited for and BLAS's
-    thread count is restored. On one core, where the platform does not
-    tell the cores a process may use, or where numpy's BLAS offers no
-    thread control, the pool has one worker and BLAS is left as it is.
-    A worker does not inherit the caller's no_grad(): tasks enter it
-    themselves."""
-    from concurrent.futures import ThreadPoolExecutor
+def _frame_pool(task):
+    """Run task() on the calling thread and on a worker thread for each
+    further core of os.sched_getaffinity(0), and return when every run
+    has returned; a run's error is raised here. BLAS runs on one thread
+    meanwhile, so that the threads do not contend for cores, and its
+    thread count is restored afterwards. On one core, where the platform
+    does not tell the cores a process may use, or where numpy's BLAS
+    offers no thread control, task runs on the calling thread alone and
+    BLAS is left as it is. A worker does not inherit the caller's
+    no_grad(): task enters it itself."""
     cores = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else 1)
-    blas = _blas_threads() if cores > 1 else None
-    pool = ThreadPoolExecutor(cores - 1 if blas else 1)
-    if blas:
-        get_threads, set_threads = blas
-        threads = get_threads()
-        set_threads(1)
+    if cores < 2 or _blas_threads() is None:
+        return task()
+    from concurrent.futures import ThreadPoolExecutor
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    set_threads(1)
     try:
-        yield pool
+        with ThreadPoolExecutor(cores - 1) as pool:
+            runs = [pool.submit(task) for _ in range(cores - 1)]
+            task()
+        for run in runs:
+            run.result()
     finally:
-        pool.shutdown(cancel_futures=True)
-        if blas:
-            set_threads(threads)
+        set_threads(threads)
 
 
 @functools.cache

@@ -18,9 +18,9 @@ batch-norm backward works one block of channels at a time and writes
 the input gradient into the buffer its caller hands it, never into a
 tensor's ``grad``. Recording is per thread: ``no_grad()`` in one thread
 leaves every other thread's ops recording, and a pool thread does not
-inherit its caller's ``no_grad()``, so each task that
-``network.predict_volume`` hands to a worker thread enters
-``no_grad()`` itself. The backward sweep releases each node's closure
+inherit its caller's ``no_grad()``, so the window loop that
+``network.predict_volume`` runs on every thread enters ``no_grad()``
+itself. The backward sweep releases each node's closure
 and parents once it has run, so a saved buffer is freed as soon as it is
 dead, and one ``backward()`` consumes the graph.
 """

@@ -1,9 +1,11 @@
 """Command-line behavior: artifacts on disk, exit codes, determinism."""
 
+import gc
 import os
 import struct
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -449,6 +451,28 @@ class TestPredict:
                 "--volume", str(tiny_data / "case_0_img.mmv"),
                 "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_raw_volume_freed_before_predicting(self, ckpt, tiny_data,
+                                                tmp_path, monkeypatch):
+        # only the normalized copy of the volume is live while
+        # predict_volume runs
+        read, predict, raw = cli.read_volume, cli.predict_volume, []
+
+        def reading(path):
+            volume, kind = read(path)
+            raw.append(weakref.ref(volume))
+            return volume, kind
+
+        def predicting(*args):
+            gc.collect()
+            assert raw[0]() is None
+            return predict(*args)
+        monkeypatch.setattr(cli, "read_volume", reading)
+        monkeypatch.setattr(cli, "predict_volume", predicting)
+        assert run("predict", "--model", str(ckpt),
+                   "--volume", str(tiny_data / "case_0_img.mmv"),
+                   "--out", str(tmp_path / "pred.mmv")) == EXIT_OK
+        assert len(raw) == 1
 
     def test_window_longer_than_volume(self, tiny_data, tmp_path):
         # the window length only tiles the depth; it sizes nothing

@@ -1,8 +1,11 @@
 """Metric correctness against brute-force voxel-set counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mmseqseg import metrics
 from mmseqseg.metrics import (DEFAULT_REGIONS, MetricsReport, RegionSpec,
                               confusion, evaluate, mean_iu, region_counts,
                               region_scores, scores_from_counts)
@@ -41,6 +44,37 @@ class TestConfusion:
     def test_label_too_big(self):
         with pytest.raises(ValueError):
             confusion(np.array([5]), np.array([0]), 5)
+
+
+class TestConfusionSlabs:
+    @pytest.mark.parametrize("k", [5, 256])
+    def test_equals_one_shot_count(self, k):
+        # 3 slabs and a part: the slab does not divide the size
+        rng = np.random.default_rng(k)
+        shape = (3, 7, metrics.SLAB // 7 + 5)
+        truth = rng.integers(0, k, size=shape).astype(np.uint8)
+        pred = rng.integers(0, k, size=shape).astype(np.uint8)
+        assert truth.size % metrics.SLAB
+        one_shot = np.bincount(truth.reshape(-1).astype(np.int64) * k
+                               + pred.reshape(-1),
+                               minlength=k * k).reshape(k, k)
+        cm = confusion(pred, truth, k)
+        assert cm.dtype == one_shot.dtype
+        np.testing.assert_array_equal(cm, one_shot)
+
+    def test_peak_memory_is_one_slab(self):
+        # an eval case's label pair is 0.8 MB; a whole-volume int64 index
+        # would be 6.3 MB
+        rng = np.random.default_rng(3)
+        truth = rng.integers(0, 5, size=(48, 128, 128)).astype(np.uint8)
+        pred = rng.integers(0, 5, size=(48, 128, 128)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            confusion(pred, truth, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
 
 
 class TestMeanIu:

@@ -511,9 +511,9 @@ class MeetingEncode:
 
 
 class TestFrameThreads:
-    """predict_volume runs a window's encoder and decoder frame by frame,
-    shared by this thread and a worker thread per further core, and its
-    convLSTM on this thread."""
+    """predict_volume runs the serial window loop on this thread and on a
+    worker thread per further core: each thread takes the next window
+    and runs its encoder, convLSTM and decoder."""
 
     @pytest.mark.parametrize("n_cores", [1, 2, 4])
     def test_labels_equal_window_forward(self, n_cores, monkeypatch):
@@ -614,49 +614,74 @@ class TestFrameThreads:
         finally:
             set_threads(outer)
 
-    @pytest.mark.parametrize("n_cores", [1, 2])
-    def test_convlstm_runs_beside_the_next_encoders(self, n_cores,
-                                                    monkeypatch):
-        # window 0's convLSTM on this thread meets window 1's first
-        # encoder on a worker
-        cores(monkeypatch, n_cores)
-        barrier, where = threading.Barrier(2, timeout=30), {}
-        encode, lstm = network._encode, network.convlstm_sequence
+    def test_window_runs_whole_on_one_thread(self, monkeypatch):
+        # every slice of a window is encoded and decoded on the thread
+        # that runs the window's convLSTM, in that order; the first
+        # encoder of each of two threads waits for the other's
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        params = init_params(ModelConfig(seed=31, **TINY))
+        vol = slice_numbered((4, 7, 16, 16))
+        want = window_labels(params, vol, 2)
+        barrier, encoded, events = threading.Barrier(2, timeout=30), [], []
+        encode, lstm, decode = (network._encode, network.convlstm_sequence,
+                                network._decode)
 
         def encoding(params, x_seq, mode):
-            if x_seq[0, 0, 0, 0] == 2:
-                where["encoder"] = threading.get_ident()
+            me, z = threading.get_ident(), int(x_seq[0, 0, 0, 0])
+            if me not in [thread for thread, _, _ in events]:
                 barrier.wait()
-            return encode(params, x_seq, mode)
+            maps = encode(params, x_seq, mode)
+            encoded.append((z, maps))
+            events.append((me, "encode", z))
+            return maps
 
         def sequence(*args):
-            if not lstm_threads:
-                barrier.wait()
-            lstm_threads.append(threading.get_ident())
+            events.append((threading.get_ident(), "convlstm", None))
             return lstm(*args)
-        lstm_threads = []
+
+        def decoding(params, cmc_maps, d, mode):
+            z = next(z for z, maps in encoded if maps is cmc_maps)
+            events.append((threading.get_ident(), "decode", z))
+            return decode(params, cmc_maps, d, mode)
         monkeypatch.setattr(network, "_encode", encoding)
         monkeypatch.setattr(network, "convlstm_sequence", sequence)
-        params = init_params(ModelConfig(seed=31, **TINY))
-        predict_volume(params, slice_numbered((4, 4, 16, 16)), 2)
-        assert lstm_threads == [threading.get_ident()] * 2
-        assert where["encoder"] != threading.get_ident()
+        monkeypatch.setattr(network, "_decode", decoding)
+        np.testing.assert_array_equal(predict_volume(params, vol, 2), want)
+        threads, starts = {thread for thread, _, _ in events}, []
+        for thread in threads:
+            mine = [(kind, z) for t, kind, z in events if t == thread]
+            while mine:
+                start = mine[0][1]
+                frames = range(start, min(start + 2, 7))
+                window = ([("encode", z) for z in frames] + [("convlstm", None)]
+                          + [("decode", z) for z in frames])
+                assert mine[:len(window)] == window
+                mine = mine[len(window):]
+                starts.append(start)
+        assert len(threads) == 2 and sorted(starts) == [0, 2, 4, 6]
 
-    def test_last_window_decoders_run_on_two_threads(self, monkeypatch):
-        # a single window's two decoder tasks meet on this thread and a
-        # worker
-        cores(monkeypatch, 2)
-        barrier, threads = threading.Barrier(2, timeout=30), set()
-        decode = network._decode
-
-        def decoded(*args):
-            threads.add(threading.get_ident())
-            barrier.wait()
-            return decode(*args)
-        monkeypatch.setattr(network, "_decode", decoded)
+    @pytest.mark.parametrize("n_cores", [2, 4])
+    def test_windows_run_at_once_on_every_core(self, n_cores, monkeypatch):
+        # the first convLSTM of each of n_cores threads waits for the
+        # others': it meets only if n_cores windows are in flight at once
+        needs_blas_threads()
+        cores(monkeypatch, n_cores)
         params = init_params(ModelConfig(seed=32, **TINY))
-        predict_volume(params, np.ones((4, 2, 16, 16), np.float32), 2)
-        assert len(threads) == 2 and threading.get_ident() in threads
+        vol = np.random.default_rng(35).standard_normal(
+            (4, 2 * n_cores, 16, 16)).astype(np.float32)
+        want = window_labels(params, vol, 2)
+        barrier, threads = threading.Barrier(n_cores, timeout=30), []
+        lstm = network.convlstm_sequence
+
+        def sequence(*args):
+            if threading.get_ident() not in threads:
+                threads.append(threading.get_ident())
+                barrier.wait()
+            return lstm(*args)
+        monkeypatch.setattr(network, "convlstm_sequence", sequence)
+        np.testing.assert_array_equal(predict_volume(params, vol, 2), want)
+        assert len(threads) == n_cores and threading.get_ident() in threads
 
     def test_each_frame_runs_once_under_stress(self, monkeypatch):
         # three workers and this thread on a short switch interval, five
@@ -691,19 +716,43 @@ class TestFrameThreads:
         for labels in got:
             np.testing.assert_array_equal(labels, want)
 
-    def test_failed_frame_stops_later_windows(self, monkeypatch):
-        # a NaN slice in window 0 raises, and no encoder of window 2 or
-        # later starts
-        cores(monkeypatch, 4)
-        encode, started = network._encode, []
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_failed_window_stops_every_thread(self, failing, monkeypatch):
+        # the two threads each start a window; one raises in it, and the
+        # other finishes its own window only once the failing thread's
+        # loop has returned, then takes no other window
+        needs_blas_threads()
+        cores(monkeypatch, 2)
+        main, barrier = threading.get_ident(), threading.Barrier(2, timeout=30)
+        returned = {True: threading.Event(), False: threading.Event()}
+        encode, frame_pool, decode = (network._encode, network._frame_pool,
+                                      network._decode)
+        started, decoded = [], []
 
         def encoding(params, x_seq, mode):
-            started.append(x_seq[0, 0, 0, 0])
+            me, z = threading.get_ident(), int(x_seq[0, 0, 0, 0])
+            if z % 2 == 0:
+                started.append(z)
+                barrier.wait()
+                if (me == main) == (failing == "caller"):
+                    raise NumericalError(f"window {z} failed")
+                assert returned[failing == "caller"].wait(timeout=30)
             return encode(params, x_seq, mode)
+
+        def decoding(*args):
+            decoded.append(threading.get_ident())
+            return decode(*args)
+
+        def pool(task):
+            def run():
+                task()
+                returned[threading.get_ident() == main].set()
+            return frame_pool(run)
         monkeypatch.setattr(network, "_encode", encoding)
-        vol = slice_numbered((4, 8, 16, 16))
-        vol[:, 0] = np.nan
+        monkeypatch.setattr(network, "_decode", decoding)
+        monkeypatch.setattr(network, "_frame_pool", pool)
         params = init_params(ModelConfig(seed=34, **TINY))
-        with pytest.raises(NumericalError):
-            predict_volume(params, vol, 2)
-        assert started and not any(z >= 4 for z in started)
+        with pytest.raises(NumericalError, match="window [02] failed"):
+            predict_volume(params, slice_numbered((4, 8, 16, 16)), 2)
+        assert sorted(started) == [0, 2] and len(decoded) == 2
+        assert (main in decoded) == (failing == "worker")
