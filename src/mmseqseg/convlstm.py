@@ -78,7 +78,8 @@ def _cell(zx, lo, zh, c_prev):
     z = zx.data[lo:lo + n]
     if zh is not None:
         z = z + zh.data
-    i, f, o = (expit(z[:, k * ch:(k + 1) * ch]) for k in (0, 1, 3))
+    s = expit(z)  # one call over all four gates; the c rows go unused
+    i, f, o = s[:, :ch], s[:, ch:2 * ch], s[:, 3 * ch:]
     g = np.tanh(z[:, 2 * ch:3 * ch])
     c = c_prev.data * f
     c += i * g

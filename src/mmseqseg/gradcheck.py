@@ -49,13 +49,13 @@ def _small_step(fn, flat, i, h, f_center, analytic, gap):
     """(relative error, is a kink) of entry i judged at step h, a tenth
     of a step whose one-sided slopes differ by gap, as the module
     docstring describes. A gap that collapses to under a twentieth marks
-    a kink between the two steps, which h is clear of."""
+    a kink between the two steps, which h is clear of. Called under
+    no_grad()."""
     orig = flat[i]
-    with no_grad():
-        flat[i] = orig + h
-        f_plus = float(fn().data)
-        flat[i] = orig - h
-        f_minus = float(fn().data)
+    flat[i] = orig + h
+    f_plus = float(fn().data)
+    flat[i] = orig - h
+    f_minus = float(fn().data)
     flat[i] = orig
     left, right = (f_center - f_minus) / h, (f_plus - f_center) / h
     small_gap = abs(right - left)
@@ -91,41 +91,42 @@ def grad_check(fn, tensors, tolerance=1e-4, step_scale=1e-4, max_entries=None,
             return report
         analytic[name] = g.copy()
 
-    for name, t in tensors.items():
-        flat = t.data.reshape(-1)
-        n = flat.size
-        if max_entries is not None and n > max_entries:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            idxs = rng.choice(n, size=max_entries, replace=False)
-        else:
-            idxs = range(n)
-        worst = 0.0
-        ga = analytic[name].reshape(-1)
-        for i in idxs:
-            orig = flat[i]
-            eps = step_scale * max(1.0, abs(orig))
-            with no_grad():
+    with no_grad():  # every finite-difference call
+        for name, t in tensors.items():
+            flat = t.data.reshape(-1)
+            n = flat.size
+            if max_entries is not None and n > max_entries:
+                if rng is None:
+                    rng = np.random.default_rng(0)
+                idxs = rng.choice(n, size=max_entries, replace=False)
+            else:
+                idxs = range(n)
+            worst = 0.0
+            ga = analytic[name].reshape(-1)
+            for i in idxs:
+                orig = flat[i]
+                eps = step_scale * max(1.0, abs(orig))
                 flat[i] = orig + eps
                 f_plus = float(fn().data)
                 flat[i] = orig - eps
                 f_minus = float(fn().data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            if not np.isfinite(numeric):
-                report.failed_reason = f"non-finite numeric gradient for {name}"
-                return report
-            err = _rel_err(float(ga[i]), numeric)
-            if err > tolerance:
-                if f_center is None:
-                    with no_grad():
+                flat[i] = orig
+                numeric = (f_plus - f_minus) / (2.0 * eps)
+                if not np.isfinite(numeric):
+                    report.failed_reason = (
+                        f"non-finite numeric gradient for {name}")
+                    return report
+                err = _rel_err(float(ga[i]), numeric)
+                if err > tolerance:
+                    if f_center is None:
                         f_center = float(fn().data)
-                left = (f_center - f_minus) / eps
-                right = (f_plus - f_center) / eps
-                if _rel_err(left, right) > tolerance:  # a kink or curvature
-                    err, kink = _small_step(fn, flat, i, eps / 10.0, f_center,
-                                            float(ga[i]), abs(right - left))
-                    report.kinks += kink
-            worst = max(worst, err)
-        report.max_rel_error[name] = worst
+                    left = (f_center - f_minus) / eps
+                    right = (f_plus - f_center) / eps
+                    if _rel_err(left, right) > tolerance:  # kink or curvature
+                        err, kink = _small_step(fn, flat, i, eps / 10.0,
+                                                f_center, float(ga[i]),
+                                                abs(right - left))
+                        report.kinks += kink
+                worst = max(worst, err)
+            report.max_rel_error[name] = worst
     return report

@@ -2,19 +2,19 @@
 
 All spatial ops take NCHW input and return C-contiguous NCHW arrays.
 Convolution is same-padded cross-correlation (no kernel flip), lowered
-to im2col one image at a time: an image's patches form a
-(C*kh*kw, H*W) matrix, made from one zero-padded copy of the image as
-one copy of its (C, kh, kw, H, W) window view. The product of the
-(Cout, C*kh*kw) kernel matrix with it is already that image's
-(Cout, H*W) slab of the NCHW output, written in place, so neither the
-patches nor the result is transposed; a grouped convolution splits both
-into G blocks and takes their G products in one matmul. The forward
-builds the patches of a band of output rows at a time, about a megabyte,
-and writes each band's product into its rows of the output. No patch
-matrix is kept for the backward: it rebuilds each image's patches from
-the input, takes the kernel gradient image by image and scatters the
-patch gradients tap by tap (the slices of each tap are planned once per
-shape and cached).
+to im2col: an image's patches form a (C*kh*kw, H*W) matrix, made from
+one zero-padded copy of the image as one copy of its (C, kh, kw, H, W)
+window view. The product of the (Cout, C*kh*kw) kernel matrix with it
+is already that image's (Cout, H*W) slab of the NCHW output, written in
+place, so neither the patches nor the result is transposed; a grouped
+convolution splits both into G blocks and takes their G products in one
+matmul. The forward builds the patches of a band at a time, about a
+megabyte, and writes each band's product into its rows of the output:
+a band is every image of a batch whose patches fit, else a band of one
+image's output rows. No patch matrix is kept for the backward: it
+rebuilds each image's patches from the input, takes the kernel gradient
+image by image and scatters the patch gradients tap by tap (the slices
+of each tap are planned once per shape and cached).
 
 `conv_bn_relu` is a convolution, its batch norm and a ReLU as one graph
 node, equal bit for bit to `relu(batchnorm(conv2d(...)))`: it shares
@@ -37,7 +37,7 @@ from .tensor import ShapeError, Tensor, make_node, records_graph
 
 # most bytes of the patches one forward matmul of a convolution reads
 # (a band of at least one output row): about half of a 2 MB L2, and the
-# whole patch matrix of a small image
+# whole patch matrix of a small batch
 _BAND_BYTES = 1 << 20
 
 # about the bytes of input that one block of channels of a batch-norm
@@ -71,8 +71,8 @@ def _taps(h, w, kh, kw):
 
 @functools.lru_cache(maxsize=256)
 def _bands(h, w, row_bytes, band_bytes):
-    # the bands of output rows of an h x w image whose patches take
-    # row_bytes per row: (first row, rows, output columns) of each band.
+    # the bands of output rows of a block of h x w images whose patches
+    # take row_bytes per row: (first row, rows, output columns) of each band.
     # As many bands as band_bytes of patches each need, their rows evened
     # out, so that no band is left with a few rows
     rows = -(-h // -(-h * row_bytes // band_bytes))
@@ -138,10 +138,14 @@ def _conv(x, kernel, groups):
         raise ShapeError("same-padding needs odd kernel extents")
 
     # No patch matrix outlives the gemm that reads it. The forward takes
-    # each frame in bands of output rows whose patches fill about
-    # _BAND_BYTES, and writes each band's product into its rows of the
-    # output; a band's patches are exactly the frame's patch columns of
-    # those rows, so every output value is the same dot product. The
+    # the batch in blocks of images, and each block in bands of output
+    # rows whose patches fill about _BAND_BYTES; a block is the whole
+    # batch when its patches fit in one band, so a small convolution
+    # pads, copies and multiplies once, else one image. Each band's
+    # product is written into its rows of the output: a band's patches
+    # are exactly its images' patch columns of those rows, and the
+    # stacked matmul takes one (G, Cout/G, K) x (G, K, columns) product
+    # per image, so every output value is the same dot product. The
     # backward rebuilds each frame's whole (G, C/G*kh*kw, H*W) patches
     # from x.data, which the graph holds as a parent. That is exact
     # because nothing writes into an op's input after the op has run: the
@@ -149,13 +153,15 @@ def _conv(x, kernel, groups):
     # happen before their output is consumed.
     w_col = kernel.data.reshape(groups, cout // groups, -1)
     out = np.empty((n, cout, h, w), dtype=np.result_type(w_col, x.data))
-    bands = _bands(h, w, cin * kh * kw * w * x.data.itemsize, _BAND_BYTES)
-    for i in range(n):
-        padded = _pad(x.data[i:i + 1], kh, kw)
-        frame = out[i].reshape(groups, cout // groups, h * w)
+    row_bytes = cin * kh * kw * w * x.data.itemsize
+    block = max(n, 1) if n * h * row_bytes <= _BAND_BYTES else 1
+    bands = _bands(h, w, block * row_bytes, _BAND_BYTES)
+    for i in range(0, n, block):
+        padded = _pad(x.data[i:i + block], kh, kw)
+        frames = out[i:i + block].reshape(block, groups, cout // groups, h * w)
         for y, band, cols in bands:
             np.matmul(w_col, _patches(padded, kh, kw, y, band).reshape(
-                groups, -1, band * w), out=frame[:, :, cols])
+                block, groups, -1, band * w), out=frames[..., cols])
 
     def frame_col(i):
         return _im2col(x.data[i:i + 1], kh, kw).reshape(groups, -1, h * w)
@@ -225,11 +231,8 @@ def conv_transpose2d(x, kernel, bias):
     w_mat = kernel.data.reshape(cin, 4 * cout).T  # rows (Cout, dy, dx)
     pixels = x.data.reshape(n, cin, h * w)
     taps = (w_mat @ pixels).reshape(n, cout, 2, 2, h, w)
-    out = np.empty((n, cout, h, 2, w, 2), dtype=taps.dtype)
-    for dy in range(2):
-        for dx in range(2):
-            out[:, :, :, dy, :, dx] = taps[:, :, dy, dx]
-    out = out.reshape(n, cout, 2 * h, 2 * w)
+    out = np.ascontiguousarray(taps.transpose(0, 1, 4, 2, 5, 3)).reshape(
+        n, cout, 2 * h, 2 * w)
     out += bias.data[None, :, None, None]
 
     def backward(g):
@@ -307,7 +310,7 @@ class BatchNormParams:
         statistics, in place."""
         for run, batch in ((self.running_mean, mean), (self.running_var, var)):
             run *= self.momentum
-            run += (1.0 - self.momentum) * batch.astype(run.dtype)
+            run += (1.0 - self.momentum) * batch.astype(run.dtype, copy=False)
 
 
 def _channel_blocks(c, channel_bytes):
@@ -615,8 +618,8 @@ def softmax_ce_loss(logits, labels, class_weights):
 
     probs = softmax(logits.data)
     npix = n * h * w
-    ni, hi, wi = np.ogrid[:n, :h, :w]
-    p_true = probs[ni, labels, hi, wi]
+    true_class = labels[:, None]  # (N, 1, H, W): the class axis's index
+    p_true = np.take_along_axis(probs, true_class, axis=1)[:, 0]
     pix_w = wts[labels]
     # floor at the dtype's tiny: a float64 literal would underflow to 0
     # under float32 promotion and let a saturated softmax produce -inf
@@ -627,7 +630,7 @@ def softmax_ce_loss(logits, labels, class_weights):
     def backward(g):
         if logits.requires_grad:
             d = probs.copy()
-            d[ni, labels, hi, wi] -= 1.0
+            np.put_along_axis(d, true_class, p_true[:, None] - 1.0, axis=1)
             d *= pix_w[:, None, :, :] * (float(g) / npix)
             logits._accumulate(d)
 

@@ -40,7 +40,9 @@ class ShapeError(ValueError):
 
 
 def check_finite(arr, what):
-    if not np.isfinite(arr).all():
+    # counting the finite entries costs less than ndarray.all's reduce on
+    # the small arrays most nodes hold
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NumericalError(f"non-finite values in {what}")
     return arr
 
@@ -64,7 +66,11 @@ def no_grad():
 def records_graph(parents):
     """Whether an op over `parents` records a graph node: outside
     no_grad(), with at least one parent that needs a gradient."""
-    return _recording.get() and any(p.requires_grad for p in parents)
+    if _recording.get():
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
 
 
 class Tensor:

@@ -262,3 +262,55 @@ class TestStackedCell:
         convlstm_sequence(Tensor(np.ones((t_len, self.CX, 4, 4))), p)
         assert len(calls) == t_len
         assert calls[0] == (t_len, self.CX, 4, 4)
+
+
+class TestOneExpitCell:
+    """The cell takes one expit over its whole (N, 4*Ch) pre-activation
+    and slices the i, f and o gates out of it. Its outputs and gradients
+    equal, bit for bit, those of a cell that makes three expit calls, one
+    per gate slice; Ch = 1 and 3 start the o slice off any SIMD
+    alignment."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ch", [1, 3, 64])
+    @pytest.mark.parametrize("unroll", ["sequence", "step"])
+    def test_bit_equal_to_three_expit_calls(self, dtype, ch, unroll,
+                                            monkeypatch):
+        rng = np.random.default_rng(ch)
+        p = ConvLstmParams(2, ch, 3, dtype=dtype)
+        for t in p.named_tensors("").values():
+            t.data = rng.standard_normal(t.shape).astype(dtype)
+
+        def leaf(*shape):
+            return Tensor(rng.standard_normal(shape).astype(dtype),
+                          requires_grad=True)
+
+        if unroll == "sequence":
+            inputs = [leaf(3, 2, 4, 5)]
+            run = lambda: convlstm_sequence(inputs[0], p)
+        else:
+            inputs = [leaf(2, 2, 4, 5), leaf(2, ch, 4, 5), leaf(2, ch, 4, 5)]
+            run = lambda: convlstm_step(
+                inputs[0], ConvLstmState(inputs[1], inputs[2]), p)[0]
+        tensors = list(p.named_tensors("").values()) + inputs
+
+        def three_calls(z):
+            # the c rows stay NaN: the cell must not read them
+            assert z.shape[1] == 4 * ch
+            out = np.full_like(z, np.nan)
+            for k in (0, 1, 3):
+                rows = slice(k * ch, (k + 1) * ch)
+                out[:, rows] = ops.expit(z[:, rows])
+            return out
+
+        runs = []
+        for expit in (ops.expit, three_calls):
+            monkeypatch.setattr(convlstm, "expit", expit)
+            out = run()
+            for t in tensors:
+                t.zero_grad()
+            ops.project(out, np.random.default_rng(1).standard_normal(
+                out.shape).astype(dtype)).backward()
+            runs.append([out.data] + [t.grad for t in tensors])
+        for a, b in zip(*runs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

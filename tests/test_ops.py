@@ -344,6 +344,64 @@ class TestBandedConv:
         assert peak < bound, (peak, bound)
 
 
+class TestBatchBand:
+    """A batch whose patches fit in _BAND_BYTES is one band: one _pad,
+    one patch copy and one stacked matmul for every image. Its output
+    equals the whole-frame form and its gradients the batched form, bit
+    for bit, whether the batch fits exactly or misses by one row."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_bit_equal_at_the_band_edge(self, dtype, groups, n, kh, kw, fits,
+                                        monkeypatch):
+        rng = np.random.default_rng(5 * n + kh + groups)
+        x = rng.standard_normal((n, 2 * groups, 7, 6)).astype(dtype)
+        k = rng.standard_normal((3 * groups, 2, kh, kw)).astype(dtype)
+        g = rng.standard_normal((n, 3 * groups, 7, 6)).astype(dtype)
+        ref_out = frame_conv(x, k, groups)
+        _, ref_dk, ref_dx = batched_conv(x, k, groups, g)
+        row_bytes = 2 * groups * kh * kw * 6 * x.itemsize
+        monkeypatch.setattr(ops, "_BAND_BYTES",
+                            n * 7 * row_bytes - (0 if fits else row_bytes))
+        pads, pad = [], ops._pad
+        monkeypatch.setattr(ops, "_pad", lambda a, kh, kw: (
+            pads.append(a.shape[0]), pad(a, kh, kw))[1])
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        out = ops.conv2d(xt, kt, groups=groups)
+        assert pads == ([n] if fits else [1] * n)
+        ops.project(out, g).backward()  # hands the conv exactly g
+        assert_bits(out.data, ref_out)
+        assert_bits(xt.grad, ref_dx)
+        assert_bits(kt.grad, ref_dk)
+
+    def test_empty_batch_gives_empty_output(self):
+        out = ops.conv2d(Tensor(np.zeros((0, 2, 4, 4))),
+                         Tensor(np.ones((3, 2, 3, 3))))
+        assert out.shape == (0, 3, 4, 4)
+
+    def test_large_batch_builds_one_band_at_a_time(self):
+        # three images of the last decoder layer at 128 x 128: the batch's
+        # patches (14 MB) miss the band, so each image is padded alone and
+        # about _BAND_BYTES of its patches are built at a time
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((3, 8, 128, 128)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((8, 8, 3, 3)).astype(np.float32))
+        padded = 8 * 130 * 130 * 4
+        bound = x.data.nbytes + padded + ops._BAND_BYTES
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = ops.conv2d(x, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < bound, (peak, bound)
+
+
 class TestLayout:
     def test_outputs_c_contiguous(self):
         rng = np.random.default_rng(18)
@@ -608,6 +666,28 @@ class TestBatchNorm:
                       "train")
         assert bn.running_mean is mean and bn.running_var is var
         np.testing.assert_allclose(mean, 0.1 * np.array([5.5, 9.5]))
+
+    def test_update_copies_no_statistic_of_its_dtype(self):
+        # a float32 statistic folds into float32 running statistics with
+        # one temporary, the scaled statistic, and the bits of a copy
+        c = 1 << 16
+        rng = np.random.default_rng(24)
+        mean = rng.standard_normal(c).astype(np.float32)
+        var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        bn = BatchNormParams(c)
+        tracemalloc.start()
+        try:
+            bn.update(mean, var)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * mean.nbytes, peak
+        for run, stat, start in ((bn.running_mean, mean, 0.0),
+                                 (bn.running_var, var, 1.0)):
+            expect = np.full(c, start, dtype=np.float32)
+            expect *= bn.momentum
+            expect += (1.0 - bn.momentum) * stat.copy()
+            assert_bits(run, expect)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(3, 8, 64, 64), (2, 5, 7, 3),
@@ -1062,6 +1142,38 @@ class TestSoftmaxCeLoss:
         logits = rng.standard_normal((1, 5, 4, 4)) * 50
         np.testing.assert_allclose(ops.softmax(logits).sum(axis=1), 1.0,
                                    atol=1e-6)
+
+
+def ogrid_softmax_ce(logits, labels, wts):
+    """The loss and logits gradient of softmax_ce_loss, with the
+    true-class entries read and updated through an np.ogrid index."""
+    n, _, h, w = logits.shape
+    probs = ops.softmax(logits)
+    ni, hi, wi = np.ogrid[:n, :h, :w]
+    p_true = probs[ni, labels, hi, wi]
+    pix_w = wts[labels]
+    floor = np.finfo(p_true.dtype).tiny
+    loss = float((pix_w * -np.log(np.maximum(p_true, floor))).mean())
+    d = probs.copy()
+    d[ni, labels, hi, wi] -= 1.0
+    d *= pix_w[:, None, :, :] * (1.0 / (n * h * w))
+    return np.asarray(loss, dtype=logits.dtype), d
+
+
+class TestSoftmaxCeGather:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [5, 7])
+    def test_bit_equal_to_ogrid_form(self, dtype, k):
+        rng = np.random.default_rng(k)
+        logits = (3 * rng.standard_normal((2, k, 5, 6))).astype(dtype)
+        labels = rng.integers(0, k, size=(2, 5, 6))
+        wts = rng.uniform(0.5, 2.0, size=k).astype(dtype)
+        t = Tensor(logits, requires_grad=True)
+        loss = ops.softmax_ce_loss(t, labels, wts)
+        loss.backward()
+        ref_loss, ref_grad = ogrid_softmax_ce(logits, labels, wts)
+        assert_bits(loss.data, ref_loss)
+        assert_bits(t.grad, ref_grad)
 
 
 class TestGradCheckHarness:

@@ -132,3 +132,23 @@ class TestGradientAccumulation:
         ops.add(ops.project(x, c), ops.project(x, c)).backward()
         assert x.grad.dtype == np.float32
         assert x.grad[0] == np.float32(1e8) + np.float32(6.0) == 1e8 + 8
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4, 4)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_raises(self, dtype, shape, bad):
+        arr = np.ones(shape, dtype=dtype)
+        assert tensor.check_finite(arr, "x") is arr
+        for i in (0, arr.size - 1):
+            arr.reshape(-1)[i] = bad
+            with pytest.raises(NumericalError, match="non-finite values in x"):
+                tensor.check_finite(arr, "x")
+            arr.reshape(-1)[i] = 1.0
+
+    def test_large_finite_and_empty_arrays_pass(self):
+        big = np.full((2, 3), np.finfo(np.float32).max, dtype=np.float32)
+        empty = np.zeros((0, 3))
+        assert tensor.check_finite(big, "x") is big
+        assert tensor.check_finite(empty, "x") is empty
