@@ -176,6 +176,8 @@ def cmd_train(args):
     cases = load_cases(args.data)
     check_cases(cases, model_cfg)
     dataset = SequenceDataset(list(cases.values()), train_cfg.sequence_length)
+    if train_cfg.phase1_steps and not dataset.tumor_windows:
+        raise FormatError("no tumor-bearing sequence available for phase 1")
     params = init_params(model_cfg)
 
     os.makedirs(args.out, exist_ok=True)

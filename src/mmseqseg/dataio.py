@@ -116,6 +116,16 @@ def read_volume(path):
             raise FormatError(f"unknown dtype code {code}")
         if f.read(1):
             raise FormatError("trailing bytes after payload")
+    if kind == "modal":
+        # one modality at a time, so no volume-sized mask is made
+        for m, channel in enumerate(arr):
+            finite = np.isfinite(channel)
+            if not finite.all():
+                at = tuple(int(i) for i in np.unravel_index(
+                    np.argmin(finite), finite.shape))
+                raise FormatError(
+                    f"{path} holds a non-finite value at (modality, slice, "
+                    f"row, column) {(m,) + at}")
     return arr, kind
 
 

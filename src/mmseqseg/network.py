@@ -14,9 +14,10 @@ m*C ... (m+1)*C - 1 are modality m's. They run as one chain over a
 grouped map (T, M*C, h, w) whose channel group m is modality m's: each
 stage is one grouped `ops.conv_bn_relu_pool` node over all M modalities,
 bit for bit the separate conv2d, batchnorm, relu and maxpool2x2, which
-holds the convolution output and the pooled map but not the full-size
-ReLU map. Every decoder conv-BN block runs as one `ops.conv_bn_relu`
-node, bit for bit the separate conv2d, batchnorm and relu.
+takes the ReLU after the pool and so holds the convolution output and
+the pooled map but makes no full-size ReLU map. Every decoder conv-BN
+block runs as one `ops.conv_bn_relu` node, bit for bit the separate
+conv2d, batchnorm and relu.
 `ModelParams.records()` names modality m's and each convLSTM gate's
 slices for the checkpoint.
 
@@ -190,9 +191,7 @@ class ModelParams:
         then scale), the CMC tensors, each gate's rows of the convLSTM
         stacks (`lstm.W_x<g>`, `lstm.W_h<g>`, `lstm.b_<g>`), the decoder
         and classifier tensors whole, then every batch norm's
-        `.running_mean` and `.running_var`, encoders first. Views go stale
-        when an array is replaced (an optimizer step), so take a fresh
-        table for each use."""
+        `.running_mean` and `.running_var`, encoders first."""
         m, widths = self.config.modality_count, self.config.encoder_channels
         # (name, conv-BN block, rows) of every batch norm
         enc = [(f"enc{mod}.s{s}", p, slice(mod * c, (mod + 1) * c))
@@ -266,8 +265,9 @@ def init_params(config, dtype=np.float32):
 def _encode(params, x_seq, mode):
     """The M encoders as one chain over a grouped map, then CMC at every
     scale. Each stage is one grouped conv_bn_relu_pool node over all M
-    modalities: conv, batch norm, ReLU and 2x2 max-pool, whose backward
-    recomputes the ReLU map rather than holding it.
+    modalities: conv, batch norm, 2x2 max-pool and ReLU (the same bits as
+    the ReLU before the pool), whose backward recomputes the batch-norm
+    affine rather than holding it.
 
     x_seq: (T, M, H, W) array, the grouped map of the input. Returns list
     of N_SCALES CMC map tensors, each (T, C_s, H/2^(s+1), W/2^(s+1)).

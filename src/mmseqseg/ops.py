@@ -13,17 +13,19 @@ megabyte, and writes each band's product into its rows of the output:
 a band is every image of a batch whose patches fit, else a band of one
 image's output rows. No patch matrix is kept for the backward: it
 rebuilds each image's patches from the input, takes the kernel gradient
-image by image and scatters the patch gradients tap by tap (the slices
-of each tap are planned once per shape and cached).
+image by image and scatters the patch gradients back as the adjoint of
+the padding and the window view, adding each tap's slab into a
+zero-padded buffer where the view reads it.
 
 `conv_bn_relu` is a convolution, its batch norm and a ReLU as one graph
 node, equal bit for bit to `relu(batchnorm(conv2d(...)))`: it shares
 the convolution and the batch-norm statistics, affine and backward with
 `conv2d` and `batchnorm`, and runs the affine and the ReLU in the
 buffers it owns. `conv_bn_relu_pool` adds the 2x2 max-pool of
-`maxpool2x2` to that node and keeps only the convolution output and the
-pooled map; its backward recomputes the ReLU map from the convolution
-output with the forward's own ops. The batch-norm backward works in
+`maxpool2x2` to that node, taking the ReLU on the pooled map, and keeps
+only the convolution output and the pooled map; its backward recomputes
+the batch-norm affine from the convolution output with the forward's
+own ops. The batch-norm backward works in
 blocks of channels and writes the input gradient into the buffer its
 caller hands it. Everything else is plain numpy on strided views.
 """
@@ -43,30 +45,6 @@ _BAND_BYTES = 1 << 20
 # about the bytes of input that one block of channels of a batch-norm
 # backward covers
 _BN_BLOCK_BYTES = 1 << 18
-
-
-def _shift(n, d):
-    # for an offset d: the slices out and src of range(n) with
-    # out + d == src, both inside [0, n)
-    lo = max(0, -d)
-    hi = max(lo, min(n, n - d))
-    return slice(lo, hi), slice(lo + d, hi + d)
-
-
-@functools.lru_cache(maxsize=256)
-def _taps(h, w, kh, kw):
-    # the tap plan of a same-padded window over an h x w image: for each
-    # kernel tap (dy, dx), the index of the output pixels it reaches in
-    # the (N, C, kh, kw, H, W) patch buffer and of the input pixels it
-    # reads in (N, C, H, W); built once per shape
-    plan = []
-    for dy in range(kh):
-        oy, iy = _shift(h, dy - kh // 2)
-        for dx in range(kw):
-            ox, ix = _shift(w, dx - kw // 2)
-            plan.append(((slice(None), slice(None), dy, dx, oy, ox),
-                         (slice(None), slice(None), iy, ix)))
-    return tuple(plan)
 
 
 @functools.lru_cache(maxsize=256)
@@ -111,13 +89,16 @@ def _im2col(x, kh, kw):
 
 
 def _col2im(col, x_shape, kh, kw):
-    # adjoint of _im2col: scatter-add (N, C*kh*kw, H*W) into x_shape
+    # adjoint of _im2col: each tap's slab of (N, C*kh*kw, H*W) is added,
+    # taps in order, into a zero-padded buffer where _patches reads that
+    # tap, and the padding is cut off
     n, c, h, w = x_shape
     col = col.reshape(n, c, kh, kw, h, w)
-    img = np.zeros(x_shape, dtype=col.dtype)
-    for out_idx, in_idx in _taps(h, w, kh, kw):
-        img[in_idx] += col[out_idx]
-    return img
+    padded = np.zeros((n, c, h + kh - 1, w + kw - 1), dtype=col.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            padded[:, :, dy:dy + h, dx:dx + w] += col[:, :, dy, dx]
+    return padded[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w]
 
 
 def _conv(x, kernel, groups):
@@ -169,11 +150,12 @@ def _conv(x, kernel, groups):
     def backward(g):
         g = g.reshape(n, groups, cout // groups, h * w)
         if kernel.requires_grad:
-            # added frame by frame, in the order a sum over frames adds
-            dk = g[0] @ frame_col(0).transpose(0, 2, 1)
+            # added frame by frame, in the order a sum over frames adds; the
+            # (G, C/G*kh*kw, Cout/G) orientation is the faster gemm
+            dk = frame_col(0) @ g[0].transpose(0, 2, 1)
             for i in range(1, n):
-                dk += g[i] @ frame_col(i).transpose(0, 2, 1)
-            kernel._accumulate(dk.reshape(kernel.shape))
+                dk += frame_col(i) @ g[i].transpose(0, 2, 1)
+            kernel._accumulate(dk.transpose(0, 2, 1).reshape(kernel.shape))
         if x.requires_grad:
             dx = np.empty(x.shape, dtype=np.result_type(w_col, g))
             for i in range(n):
@@ -267,12 +249,13 @@ def _pool(x):
     return np.maximum(cols[:, :, 0::2], cols[:, :, 1::2])
 
 
-def _route(x, out, g, dx):
+def _route(x, out, g, dx, free):
     # the backward of out = _pool(x): g, out's gradient, goes to the first
-    # maximum of each window in row-major order. Written into dx, of x's
-    # shape, and returned; dx may be x itself, as each corner of x is read
-    # before the same corner of dx is written
-    free = np.ones(out.shape, dtype=bool)  # window not yet routed
+    # maximum of each window in row-major order, in the windows that the
+    # boolean array free (of out's shape, consumed) marks; every other
+    # corner gets g times 0. Written into dx, of x's shape, and returned;
+    # dx may be x itself, as each corner of x is read before the same
+    # corner of dx is written
     for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
         hit = free & (x[:, :, a::2, b::2] == out)
         np.multiply(g, hit, out=dx[:, :, a::2, b::2])
@@ -288,7 +271,8 @@ def maxpool2x2(x):
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_route(x.data, out, g, np.empty(x.shape, x.dtype)))
+            x._accumulate(_route(x.data, out, g, np.empty(x.shape, x.dtype),
+                                 np.ones(out.shape, dtype=bool)))
 
     return make_node(out, (x,), backward, "maxpool2x2 output")
 
@@ -460,26 +444,26 @@ def conv_bn_relu_pool(x, kernel, bn, mode, groups):
     """maxpool2x2(conv_bn_relu(x, kernel, bn, mode, groups)) as one node,
     equal to the two ops bit for bit.
 
-    The node keeps the convolution output and the pooled map, not the
-    full-size ReLU map: the backward recomputes that map with the
-    forward's own ops, routes the gradient to the first maximum of each
-    window as maxpool2x2 does, and applies the ReLU's mask, all in one
-    buffer that the batch-norm backward then turns into the convolution
-    output's gradient. The affine result is checked for finite values
-    before the ReLU, as in conv_bn_relu, and the ReLU runs in its buffer.
+    The ReLU runs on the pooled map: pooling commutes with it, and as
+    np.maximum keeps its second operand on a tie, the ReLU turns a -0.0
+    maximum into the +0.0 it makes of each -0.0 before a pool. The node
+    keeps the convolution output and the pooled map; the backward
+    recomputes the batch-norm affine with the forward's own ops and, in
+    that buffer, routes the gradient of each window whose output is
+    above 0 to its first maximum, as maxpool2x2 does. The affine result
+    is checked for finite values before the pool, as in conv_bn_relu.
     """
     _check_poolable(x.shape)
     parents, z, affine, affine_backward = _conv_bn(x, kernel, bn, mode,
                                                    groups)
     tensor.check_finite(z, "conv_bn_relu_pool output")
-    out = _pool(np.maximum(z, 0, out=z))
+    out = _pool(z)
+    np.maximum(out, 0, out=out)
     shape = z.shape
 
     def backward(g):
         r = affine(np.empty(shape, out.dtype))
-        np.maximum(r, 0, out=r)
-        mask = r > 0
-        affine_backward(np.multiply(_route(r, out, g, r), mask, out=r))
+        affine_backward(_route(r, out, g, r, out > 0))
 
     return make_node(out, parents, backward, "conv_bn_relu_pool output")
 

@@ -12,8 +12,9 @@ batch-norm inputs) die as soon as the op returns; ``network.forward``
 im2col patches even when recording: its backward rebuilds each image's
 patches from the input, which the graph already holds as a parent. An
 encoder stage's node (``ops.conv_bn_relu_pool``) saves its convolution
-output and its pooled map but not the full-size ReLU map between them:
-its backward recomputes that map from the convolution output. The
+output and its pooled map and makes no full-size ReLU map: it takes the
+ReLU after the pool, and its backward recomputes the batch-norm affine
+from the convolution output and routes the gradient on it. The
 batch-norm backward works one block of channels at a time and writes
 the input gradient into the buffer its caller hands it, never into a
 tensor's ``grad``. Recording is per thread: ``no_grad()`` in one thread

@@ -134,7 +134,8 @@ class OptimizerState:
 
 
 def adam_update(named_params, state, lr):
-    """Standard Adam step with bias correction, in place."""
+    """Standard Adam step with bias correction. The moments and every
+    parameter's array are updated in place, so views of them stay live."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
@@ -145,9 +146,12 @@ def adam_update(named_params, state, lr):
             continue
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for parameter {name}")
-        m = state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        v = state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        m, v = state.m[name], state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def clip_gradients(named_params, max_norm):

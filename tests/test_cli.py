@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -194,6 +195,19 @@ class TestTrain:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_tumor_voxel_makes_nothing(self, tiny_data, tmp_path,
+                                          capsys):
+        # phase 1 draws only tumor-bearing windows; a corpus without any
+        # is a data error found before --out is made
+        for path in tiny_data.glob("*_lbl.mmv"):
+            lbl, _ = read_volume(path)
+            write_volume(path, np.zeros_like(lbl), "label")
+        out = tmp_path / "out"
+        assert run("train", "--data", str(tiny_data), "--out", str(out),
+                   "--phase1-steps", "1") == EXIT_DATA
+        assert "no tumor-bearing sequence" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resolved_config_reproduces_itself(self, tiny_data, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY_CFG)
@@ -360,6 +374,58 @@ class TestLabelRange:
                    "--report", str(report)) == EXIT_DATA
         assert "case_1_lbl.mmv holds label 7" in capsys.readouterr().err
         assert predicted == [] and not report.exists()
+
+
+class TestNonFiniteVoxel:
+    """A NaN or an infinity in a modal volume is a data error that names
+    the file and the voxel, found when the file is read: before train
+    makes --out and before eval or predict predicts, with no numpy
+    warning on the way."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf])
+    def corpus(self, tiny_data, request):
+        path = tiny_data / "case_1_img.mmv"
+        img, _ = read_volume(path)
+        img[2, 5, 3, 7] = request.param
+        write_volume(path, img, "modal")
+        return tiny_data
+
+    def rejects(self, capsys, tmp_path, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "case_1_img.mmv" in err[0] and "(2, 5, 3, 7)" in err[0]
+        assert not list(tmp_path.rglob("*.partial"))
+
+    def test_train(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        self.rejects(capsys, tmp_path, "train", "--data", str(corpus),
+                     "--out", str(out), "--phase1-steps", "2",
+                     "--phase2-steps", "1", "--batch-size", "1")
+        assert not out.exists()
+
+    def test_eval(self, corpus, tmp_path, capsys, monkeypatch):
+        predicted = []
+        monkeypatch.setattr(cli, "predict_volume",
+                            lambda *a: predicted.append(a))
+        ckpt, report = tmp_path / "m.mmck", tmp_path / "report.txt"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        self.rejects(capsys, tmp_path, "eval", "--model", str(ckpt),
+                     "--data", str(corpus), "--report", str(report))
+        assert predicted == [] and not report.exists()
+
+    def test_predict(self, corpus, tmp_path, capsys, monkeypatch):
+        predicted = []
+        monkeypatch.setattr(cli, "predict_volume",
+                            lambda *a: predicted.append(a))
+        ckpt, out = tmp_path / "m.mmck", tmp_path / "o.mmv"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        self.rejects(capsys, tmp_path, "predict", "--model", str(ckpt),
+                     "--volume", str(corpus / "case_1_img.mmv"),
+                     "--out", str(out))
+        assert predicted == [] and not out.exists()
 
 
 class TestPathMixups:

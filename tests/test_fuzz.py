@@ -10,6 +10,7 @@ MAX_EXAMPLES for a longer search.
 """
 
 import math
+import re
 import struct
 import tracemalloc
 
@@ -130,6 +131,26 @@ def test_read_volume_mutated(files, data):
     name = data.draw(st.sampled_from(["modal", "label"]))
     read_or_reject(read_volume, path,
                    data.draw(mutated(valid[name], [4, 8, 12, 16, 17])))
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_volume_non_finite_voxel(files, data):
+    # NaN or +-inf anywhere in a modal payload, with any sign and NaN
+    # payload, is a FormatError naming the first such voxel
+    valid, path = files
+    out = bytearray(valid["modal"])
+    shape = struct.unpack_from("<4I", out, 4)
+    bad = data.draw(st.lists(st.integers(0, math.prod(shape) - 1),
+                             min_size=1, max_size=3))
+    for i in bad:
+        bits = (0x7F800000 | data.draw(st.sampled_from([0, 1 << 31]))
+                | data.draw(st.integers(0, (1 << 23) - 1)))
+        struct.pack_into("<I", out, 21 + 4 * i, bits)
+    path.write_bytes(bytes(out))
+    first = tuple(int(i) for i in np.unravel_index(min(bad), shape))
+    with pytest.raises(FormatError, match=re.escape(str(first))):
+        read_volume(path)
 
 
 @FUZZ

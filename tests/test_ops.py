@@ -180,6 +180,27 @@ def tap_loop_im2col(x, kh, kw):
     return col.reshape(n, c * kh * kw, h * w)
 
 
+def tap_plan_col2im(col, x_shape, kh, kw):
+    """The tap-plan form of _col2im: a zeroed image, and each tap's slab
+    added, taps in order, onto the pixels of the unpadded image that the
+    tap reaches."""
+    n, c, h, w = x_shape
+    col = col.reshape(n, c, kh, kw, h, w)
+    img = np.zeros(x_shape, dtype=col.dtype)
+
+    def shift(size, d):
+        lo = max(0, -d)
+        hi = max(lo, min(size, size - d))
+        return slice(lo, hi), slice(lo + d, hi + d)
+
+    for dy in range(kh):
+        oy, iy = shift(h, dy - kh // 2)
+        for dx in range(kw):
+            ox, ix = shift(w, dx - kw // 2)
+            img[:, :, iy, ix] += col[:, :, dy, dx, oy, ox]
+    return img
+
+
 class TestIm2col:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3])
@@ -202,6 +223,18 @@ class TestIm2col:
         assert ops._pad(x, 1, 1) is x
         xt = x.transpose(0, 1, 3, 2)
         assert_bits(ops._im2col(xt, 1, 1), tap_loop_im2col(xt, 1, 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 3), (7, 5)])
+    def test_col2im_bit_equal_to_tap_plan(self, dtype, n, kh, kw):
+        # the padded scatter adds each pixel's taps in the tap plan's
+        # order; 7x5 is larger than the 5x4 map
+        shape = (n, 2, 5, 4)
+        col = np.random.default_rng(kh * kw + n).standard_normal(
+            (n, 2 * kh * kw, 5 * 4)).astype(dtype)
+        assert_bits(ops._col2im(col, shape, kh, kw),
+                    tap_plan_col2im(col, shape, kh, kw))
 
     @pytest.mark.parametrize("shape,kh,kw", [((3, 2, 5, 7), 3, 3),
                                              ((2, 1, 4, 3), 5, 3),
@@ -584,6 +617,23 @@ class TestTwoPassMaxPool:
         assert_bits(ops.maxpool2x2(Tensor(x)).data, three_pass_maxpool(x))
 
 
+class TestMaximumTieRule:
+    """_pool's corner order and conv_bn_relu_pool's ReLU after the pool
+    rely on np.maximum returning its second operand when the operands
+    tie, as +0.0 and -0.0 do; pinned for numpy's scalar and SIMD loops
+    (short, odd and long arrays, contiguous and strided)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, 16, 17, 1000])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_second_operand_on_signed_zero_tie(self, dtype, n, step):
+        pos = np.zeros(n * step, dtype)[::step]
+        neg = np.full(n * step, -0.0, dtype)[::step]
+        assert np.signbit(np.maximum(pos, neg)).all()
+        assert not np.signbit(np.maximum(neg, pos)).any()
+        assert not np.signbit(np.maximum(neg, 0)).any()
+
+
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = np.random.default_rng(5)
@@ -865,6 +915,65 @@ class TestConvBnReluPool:
             assert_bits(x2.grad, x.grad)
         else:
             assert x.grad is None and x2.grad is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_bit_equal_to_four_ops(self, dtype, groups, mode):
+        # the ReLU after the pool, against the ReLU before it: on maps
+        # with all-negative windows, exact-zero maxima, tied corners and
+        # -0.0 maxima. The second image is the first negated, so every
+        # channel's batch mean is exactly 0; the shift is -0.0, and in eval
+        # mode a running mean of -0.0 under a negative scale makes -0.0
+        rng = np.random.default_rng(groups)
+        x, kernel, bn = pool_setup(rng, dtype, groups, True)
+        half = rng.integers(-1, 2, (1, x.shape[1], 16, 12)).astype(dtype)
+        x.data = np.concatenate([half, -half])
+        odd = np.arange(bn.scale.size) % 2 == 1
+        bn.scale.data = np.where(odd, -bn.scale.data, bn.scale.data)
+        bn.shift.data = np.full(bn.scale.size, -0.0, dtype)
+        bn.running_mean = np.where(odd, -0.0, 0.0).astype(dtype)
+        x2, kernel2, bn2 = twin(x, kernel, bn)
+        z = ops.batchnorm(ops.conv2d(x, kernel, groups=groups), bn, mode)
+        ref = ops.maxpool2x2(ops.relu(z))
+        maxima = ops._pool(z.data)
+        assert (maxima < 0).any() and (maxima == 0).any()
+        assert ((window_maxima(z.data) > 1) & (maxima > 0)).any()
+        if mode == "eval":
+            assert (np.signbit(maxima) & (maxima == 0)).any()
+        out = ops.conv_bn_relu_pool(x2, kernel2, bn2, mode, groups)
+        assert_bits(out.data, ref.data)
+        assert_bits(bn2.running_mean, bn.running_mean)
+        assert_bits(bn2.running_var, bn.running_var)
+        coeffs = rng.standard_normal(ref.shape).astype(dtype)
+        ops.project(ref, coeffs).backward()
+        ops.project(out, coeffs).backward()
+        for a, b in ((x2, x), (kernel2, kernel), (bn2.scale, bn.scale),
+                     (bn2.shift, bn.shift)):
+            assert_bits(a.grad, b.grad)
+
+    def test_backward_makes_no_full_size_mask(self, monkeypatch):
+        # the backward holds the recomputed float32 affine map (4 bytes
+        # an element) and the routing's pooled-size masks (about 1 byte an
+        # element); a full-size boolean mask would add 1 byte an element.
+        # Blocks of two channels keep the batch-norm backward's buffers
+        # below the routing's
+        monkeypatch.setattr(ops, "_BN_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((2, 8, 32, 32)).astype(np.float32))
+        kernel = Tensor(rng.standard_normal((64, 8, 3, 3)).astype(np.float32))
+        bn = BatchNormParams(64)
+        node = ops.conv_bn_relu_pool(x, kernel, bn, "train", 1)
+        g = rng.standard_normal(node.shape).astype(np.float32)
+        map_elems = 4 * node.size
+        tracemalloc.start()
+        try:
+            node._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bn.scale.grad is not None
+        assert peak < 4 * map_elems + 1.5 * map_elems, (peak, map_elems)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_graph_free_output_equal(self, mode):

@@ -8,7 +8,7 @@ from mmseqseg.tensor import NumericalError, Tensor
 from mmseqseg.training import (OptimizerState, SequenceDataset, TrainConfig,
                                adam_update, clip_gradients,
                                compute_class_weights, run_two_phase,
-                               sample_natural, sample_phase1)
+                               sample_natural, sample_phase1, train_step)
 
 TINY_MODEL = dict(encoder_channels=(2, 3, 4, 5), sequence_length=2)
 
@@ -182,6 +182,22 @@ class TestAdam:
         b["w"].grad = 10.0 * g
         adam_update(b, OptimizerState(b), lr=1e-3)
         np.testing.assert_array_equal(np.sign(a["w"].data), np.sign(b["w"].data))
+
+    def test_records_views_see_the_step(self):
+        # every parameter's array is updated in place, so a records()
+        # table taken before a train step reads the stepped values
+        params = init_params(ModelConfig(seed=0, **TINY_MODEL))
+        views = params.records()
+        before = {k: v.copy() for k, v in views.items()}
+        named = params.named_tensors()
+        batch = sample_phase1(tiny_dataset(), np.random.default_rng(0), 1)
+        train_step(params, named, batch, np.ones(5), OptimizerState(named),
+                   1e-2, TrainConfig(batch_size=1, sequence_length=2))
+        for name, view in params.records().items():
+            np.testing.assert_array_equal(views[name], view)
+        assert not np.array_equal(views["cls.kernel"], before["cls.kernel"])
+        assert not np.array_equal(views["enc0.s0.kernel"],
+                                  before["enc0.s0.kernel"])
 
     def test_nonfinite_gradient_raises(self):
         named = self.named([1.0])
