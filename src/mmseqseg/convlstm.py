@@ -9,15 +9,16 @@ k) recurrent kernel and one (4*Ch,) bias (the form of Shi et al. 2015).
 A sequence is one (T, Cx, h, w) tensor, the T steps of a single
 sequence, and its output is the (T, Ch, h, w) tensor of h_1 ... h_T.
 The input convolution does not depend on the recurrence, so a sequence
-runs it once over all T inputs; each step then adds one recurrent
-convolution of h_{t-1} (none at t=0, where h is zero) and two cell
-nodes, c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t). One concat0 joins
-the T hidden maps.
+runs it once over all T inputs. Step t takes its row of that projection
+(ops.take), adds the recurrent convolution of h_{t-1} to it (ops.add;
+neither at t=0, where h is zero) and makes two cell nodes on the sum,
+c_t = f*c_{t-1} + i*g and h_t = o*tanh(c_t). One concat0 joins the T
+hidden maps.
 """
 
 import numpy as np
 
-from .ops import concat0, conv2d, expit
+from .ops import add, concat0, conv2d, expit, take
 from .tensor import ShapeError, Tensor, make_node
 
 
@@ -70,29 +71,17 @@ class ConvLstmState:
                    Tensor(np.zeros((n, channels, hs, ws), dtype=dtype)))
 
 
-def _cell(zx, lo, zh, c_prev):
-    """One step of the cell on stacked gate pre-activations: rows
-    lo:lo+N of the input projection zx plus the recurrent projection zh
-    (None when h_{t-1} is zero). Returns the nodes (h_t, c_t)."""
-    n, ch = c_prev.shape[:2]
-    z = zx.data[lo:lo + n]
-    if zh is not None:
-        z = z + zh.data
-    s = expit(z)  # one call over all four gates; the c rows go unused
+def _cell(z, c_prev):
+    """One step of the cell on the stacked gate pre-activation z, the
+    (N, 4*Ch, h, w) sum of the step's input and recurrent projections.
+    Returns the nodes (h_t, c_t); each hands its share of dz to z."""
+    ch = c_prev.shape[1]
+    s = expit(z.data)  # one call over all four gates; the c rows go unused
     i, f, o = s[:, :ch], s[:, ch:2 * ch], s[:, 3 * ch:]
-    g = np.tanh(z[:, 2 * ch:3 * ch])
+    g = np.tanh(z.data[:, 2 * ch:3 * ch])
     c = c_prev.data * f
     c += i * g
     tc = np.tanh(c)
-
-    def route(dz):
-        # dz (N, 4*Ch, h, w) back to both projections
-        if zh is not None and zh.requires_grad:
-            zh._accumulate(dz)
-        if zx.requires_grad:
-            full = np.zeros(zx.shape, dtype=zx.dtype)
-            full[lo:lo + n] = dz
-            zx._accumulate(full)
 
     def c_backward(gc):
         dz = np.zeros(z.shape, dtype=z.dtype)
@@ -101,20 +90,19 @@ def _cell(zx, lo, zh, c_prev):
         dz[:, 2 * ch:3 * ch] = gc * i * (1.0 - g * g)
         if c_prev.requires_grad:
             c_prev._accumulate(gc * f)
-        route(dz)
+        if z.requires_grad:
+            z._accumulate(dz)
 
     def h_backward(gh):
         dz = np.zeros(z.shape, dtype=z.dtype)
         dz[:, 3 * ch:] = gh * tc * o * (1.0 - o)
         if c_t.requires_grad:
             c_t._accumulate(gh * o * (1.0 - tc * tc))
-        route(dz)
+        if z.requires_grad:
+            z._accumulate(dz)
 
-    projections = (zx,) if zh is None else (zx, zh)
-    c_t = make_node(c, projections + (c_prev,), c_backward,
-                    "convLSTM cell state")
-    h_t = make_node(o * tc, projections + (c_t,), h_backward,
-                    "convLSTM hidden state")
+    c_t = make_node(c, (z, c_prev), c_backward, "convLSTM cell state")
+    h_t = make_node(o * tc, (z, c_t), h_backward, "convLSTM hidden state")
     return h_t, c_t
 
 
@@ -125,8 +113,8 @@ def convlstm_step(x_t, state, params):
             f"input batch and spatial {x_t.shape} do not match state "
             f"{state.h.shape}"
         )
-    h_t, c_t = _cell(conv2d(x_t, params.wx, params.b), 0,
-                     conv2d(state.h, params.wh, None), state.c)
+    h_t, c_t = _cell(add(conv2d(x_t, params.wx, params.b),
+                         conv2d(state.h, params.wh, None)), state.c)
     return h_t, ConvLstmState(h_t, c_t)
 
 
@@ -145,7 +133,9 @@ def convlstm_sequence(x, params):
                         dtype=x.dtype))
     hs = []
     for t in range(x.shape[0]):
-        zh = conv2d(hs[-1], params.wh, None) if hs else None
-        h_t, c = _cell(zx, t, zh, c)
+        z = take(zx, t)
+        if hs:
+            z = add(z, conv2d(hs[-1], params.wh, None))
+        h_t, c = _cell(z, c)
         hs.append(h_t)
     return concat0(hs)

@@ -255,11 +255,14 @@ def _route(x, out, g, dx, free):
     # boolean array free (of out's shape, consumed) marks; every other
     # corner gets g times 0. Written into dx, of x's shape, and returned;
     # dx may be x itself, as each corner of x is read before the same
-    # corner of dx is written
+    # corner of dx is written. One boolean buffer serves every corner: as
+    # hit is a subset of free, free ^= hit clears exactly the hit windows
+    hit = np.empty(out.shape, dtype=bool)
     for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        hit = free & (x[:, :, a::2, b::2] == out)
+        np.equal(x[:, :, a::2, b::2], out, out=hit)
+        hit &= free
         np.multiply(g, hit, out=dx[:, :, a::2, b::2])
-        free &= ~hit
+        free ^= hit
     return dx
 
 

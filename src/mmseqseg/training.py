@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor  # check_finite is looked up at each call, as in ops
 from .network import forward_logits
 from .ops import softmax_ce_loss
 from .tensor import NumericalError
@@ -144,8 +145,7 @@ def adam_update(named_params, state, lr):
         g = p.grad
         if g is None:
             continue
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name}")
+        tensor.check_finite(g, f"gradient of parameter {name}")
         m, v = state.m[name], state.v[name]
         m *= BETA1
         m += (1.0 - BETA1) * g

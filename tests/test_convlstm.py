@@ -81,8 +81,8 @@ class TestStep:
                           ConvLstmState.zeros(1, 1, 6, 6), p)
 
     def test_batch_mismatch_raises(self):
-        # the stacked cell slices the input projection by the state's
-        # batch, so a larger input batch must not be cut silently
+        # an input batch that differs from the state's is rejected before
+        # either projection runs
         p = ConvLstmParams(1, 1, 3)
         with pytest.raises(ShapeError):
             convlstm_step(Tensor(np.zeros((2, 1, 4, 4))),
@@ -314,3 +314,117 @@ class TestOneExpitCell:
             runs.append([out.data] + [t.grad for t in tensors])
         for a, b in zip(*runs):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def offset_cell(zx, lo, zh, c_prev):
+    """The cell as it read its step's rows lo:lo+N of the input
+    projection zx itself and routed their gradient back by hand, plus the
+    recurrent projection zh (None when h_{t-1} is zero); kept as a
+    bit-level reference for the cell on a take/add pre-activation."""
+    n, ch = c_prev.shape[:2]
+    z = zx.data[lo:lo + n]
+    if zh is not None:
+        z = z + zh.data
+    s = ops.expit(z)
+    i, f, o = s[:, :ch], s[:, ch:2 * ch], s[:, 3 * ch:]
+    g = np.tanh(z[:, 2 * ch:3 * ch])
+    c = c_prev.data * f
+    c += i * g
+    tc = np.tanh(c)
+
+    def route(dz):
+        if zh is not None and zh.requires_grad:
+            zh._accumulate(dz)
+        if zx.requires_grad:
+            full = np.zeros(zx.shape, dtype=zx.dtype)
+            full[lo:lo + n] = dz
+            zx._accumulate(full)
+
+    def c_backward(gc):
+        dz = np.zeros(z.shape, dtype=z.dtype)
+        dz[:, :ch] = gc * g * i * (1.0 - i)
+        dz[:, ch:2 * ch] = gc * c_prev.data * f * (1.0 - f)
+        dz[:, 2 * ch:3 * ch] = gc * i * (1.0 - g * g)
+        if c_prev.requires_grad:
+            c_prev._accumulate(gc * f)
+        route(dz)
+
+    def h_backward(gh):
+        dz = np.zeros(z.shape, dtype=z.dtype)
+        dz[:, 3 * ch:] = gh * tc * o * (1.0 - o)
+        if c_t.requires_grad:
+            c_t._accumulate(gh * o * (1.0 - tc * tc))
+        route(dz)
+
+    projections = (zx,) if zh is None else (zx, zh)
+    c_t = make_node(c, projections + (c_prev,), c_backward, "offset cell")
+    h_t = make_node(o * tc, projections + (c_t,), h_backward, "offset cell")
+    return h_t, c_t
+
+
+def offset_step(x_t, state, p):
+    h_t, _ = offset_cell(ops.conv2d(x_t, p.wx, p.b), 0,
+                         ops.conv2d(state.h, p.wh, None), state.c)
+    return h_t
+
+
+def offset_sequence(x, p):
+    zx = ops.conv2d(x, p.wx, p.b)
+    c = Tensor(np.zeros((1, p.hidden_channels) + x.shape[2:], dtype=x.dtype))
+    hs = []
+    for t in range(x.shape[0]):
+        zh = ops.conv2d(hs[-1], p.wh, None) if hs else None
+        h_t, c = offset_cell(zx, t, zh, c)
+        hs.append(h_t)
+    return ops.concat0(hs)
+
+
+class TestGateInputFromTakeAndAdd:
+    """The cell on a pre-activation built by ops.take and ops.add gives
+    the outputs and gradients of the row-offset cell bit for bit, over T
+    steps (the batch, for one step). The projection has +0.0 and -0.0
+    coefficients, so zeros of either sign reach the gradients."""
+
+    def run(self, unroll, shapes, dtype, ch, seed):
+        rng = np.random.default_rng(seed)
+        p = ConvLstmParams(2, ch, 3, dtype=dtype)
+        for t in p.named_tensors("").values():
+            t.data = rng.standard_normal(t.shape).astype(dtype)
+        inputs = [Tensor(rng.standard_normal(s).astype(dtype),
+                         requires_grad=True) for s in shapes]
+        out = unroll(p, *inputs)
+        coeffs = rng.standard_normal(out.shape).astype(dtype)
+        coeffs.reshape(-1)[::3] = 0.0
+        coeffs.reshape(-1)[1::5] = -0.0
+        ops.project(out, coeffs).backward()
+        return [out.data] + [t.grad for t in
+                             list(p.named_tensors("").values()) + inputs]
+
+    def assert_bit_equal(self, unroll, reference, shapes, dtype, ch):
+        got = self.run(unroll, shapes, dtype, ch, 7 * ch)
+        want = self.run(reference, shapes, dtype, ch, 7 * ch)
+        for a, b in zip(got, want):
+            if b is None:  # wh at T=1: h_0 is zero, no recurrent conv
+                assert a is None
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ch", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 2, 3])
+    def test_sequence(self, dtype, ch, t_len):
+        self.assert_bit_equal(lambda p, x: convlstm_sequence(x, p),
+                              lambda p, x: offset_sequence(x, p),
+                              [(t_len, 2, 4, 5)], dtype, ch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ch", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step(self, dtype, ch, n):
+        grads = self.assert_bit_equal(
+            lambda p, x, h, c: convlstm_step(x, ConvLstmState(h, c), p)[0],
+            lambda p, x, h, c: offset_step(x, ConvLstmState(h, c), p),
+            [(n, 2, 4, 5), (n, ch, 4, 5), (n, ch, 4, 5)], dtype, ch)
+        c0_grad = grads[-1]  # gh * o * (1 - tanh(c)^2) * f: -0.0 where gh is
+        assert np.signbit(c0_grad[c0_grad == 0]).any()

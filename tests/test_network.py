@@ -187,12 +187,12 @@ class TestGraph:
         params = init_params(ModelConfig(seed=0, **TINY))
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         nodes = _graph(forward_logits(params, seq.astype(np.float32), "train"))
-        # 32 op outputs and 45 parameters, whatever the kernel layouts: per
+        # 35 op outputs and 45 parameters, whatever the kernel layouts: per
         # scale the grouped encoder makes conv_bn_relu_pool, the modality
-        # stack and CMC (12); at T=2 the convLSTM makes 2 convs and 4 cell
-        # nodes, joined by one concat0 (7); the decoder makes 3 per stage
-        # (12) and the classifier 1
-        assert len(nodes) == 77
+        # stack and CMC (12); at T=2 the convLSTM makes 2 convolutions,
+        # 2 take, 1 add and 4 cell nodes, joined by one concat0 (10); the
+        # decoder makes 3 per stage (12) and the classifier 1
+        assert len(nodes) == 80
         assert all(n.data.flags.c_contiguous for n in nodes)
 
     def test_accumulate_keeps_stored_gradient(self):
@@ -239,7 +239,7 @@ class TestGraphFree:
         seq = np.random.default_rng(4).standard_normal((2, 4, 16, 16))
         with no_grad():
             logits = forward_logits(params, seq.astype(np.float32), "eval")
-        assert len(made) == 32  # every op output of the graph-built pass
+        assert len(made) == 35  # every op output of the graph-built pass
         assert _graph(logits) == [logits]
         assert all(n._backward is None and n._parents == () and
                    not n.requires_grad for n in made)
@@ -273,7 +273,7 @@ class TestGraphFree:
                                    y_seq, np.ones(5, dtype=np.float32))
         nodes = _graph(loss)
         interior = [n for n in nodes if n._backward is not None]
-        assert len(interior) == 33  # 32 op outputs and the loss
+        assert len(interior) == 36  # 35 op outputs and the loss
         loss.backward()
         assert all(n._backward is None and n._parents == () for n in interior)
         assert all(p.grad is not None for p in params.named_tensors().values())

@@ -589,6 +589,25 @@ class TestMaxPool:
         assert (win == win.max(axis=-1, keepdims=True)).sum(axis=-1).max() > 1
         np.testing.assert_array_equal(x.grad, expect)
 
+    def test_route_allocates_one_pooled_mask(self):
+        # the routing reuses one boolean buffer of the pooled shape for
+        # every corner; at (2, 64, 64, 64) pooled, 512 KiB, it stands out
+        # of numpy's ufunc buffers (about 64 KiB)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 64, 128, 128)).astype(np.float32)
+        out = ops._pool(x)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        dx = np.empty_like(x)
+        free = np.ones(out.shape, dtype=bool)
+        tracemalloc.start()
+        try:
+            ops._route(x, out, g, dx, free)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not free.any()
+        assert peak <= out.size + 131072, (peak, out.size)
+
 
 def three_pass_maxpool(x):
     """A left-to-right np.maximum over the four window corners in
@@ -1202,6 +1221,33 @@ class TestElementwiseMul:
             lambda: ops.project(ops.elementwise_mul(ts["a"], ts["b"]), coeffs),
             ts, tolerance=1e-4)
         assert report.passed
+
+
+class TestTake:
+    def test_value_is_the_row_as_a_view(self):
+        x = Tensor(np.arange(24.0).reshape(4, 3, 2))
+        out = ops.take(x, 2)
+        assert out.shape == (1, 3, 2)
+        assert_bits(out.data, x.data[2:3])
+        assert np.shares_memory(out.data, x.data)
+
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_out_of_range_index_raises(self, i):
+        with pytest.raises(ShapeError, match="out of range"):
+            ops.take(Tensor(np.zeros((4, 3))), i)
+
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_gradcheck_reaches_only_row_i(self, i):
+        rng = np.random.default_rng(12)
+        ts = {"x": Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)}
+        coeffs = rng.standard_normal((1, 2, 4, 4))
+        report = grad_check(
+            lambda: ops.project(ops.take(ts["x"], i), coeffs), ts,
+            tolerance=1e-4)
+        assert report.passed, report.max_rel_error
+        grad = ts["x"].grad
+        assert_bits(grad[i:i + 1], coeffs)
+        assert not np.delete(grad, i, axis=0).any()
 
 
 class TestSoftmaxCeLoss:

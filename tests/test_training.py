@@ -205,6 +205,13 @@ class TestAdam:
         with pytest.raises(NumericalError, match="w"):
             adam_update(named, OptimizerState(named), lr=1e-3)
 
+    def test_infinite_gradient_names_the_parameter(self):
+        named = {"enc0.s0.kernel": Tensor(np.zeros(3), requires_grad=True)}
+        named["enc0.s0.kernel"].grad = np.array([0.0, -np.inf, 1.0])
+        with pytest.raises(NumericalError,
+                           match=r"gradient of parameter enc0\.s0\.kernel"):
+            adam_update(named, OptimizerState(named), lr=1e-3)
+
 
 class TestClip:
     def test_norm_reduced(self):
