@@ -6,6 +6,7 @@ path and renamed only on completion.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -69,10 +70,16 @@ def resolve_config(file_values, overrides):
 
 
 def atomic_write(path, writer):
-    """writer(partial_path); rename only on success."""
+    """writer(partial_path); rename only on success. On failure the
+    partial file is removed and the error re-raised."""
     partial = str(path) + ".partial"
-    writer(partial)
-    os.replace(partial, path)
+    try:
+        writer(partial)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def write_text(path, text):
@@ -84,62 +91,52 @@ def write_text(path, text):
     atomic_write(path, writer)
 
 
-def load_cases(data_dir):
-    """Reads case_<i>_img.mmv / case_<i>_lbl.mmv pairs into a dict from
-    label file name to (normalized image, labels). Cases come in the
-    string order of their file names, so case_10 precedes case_2, and
-    train's windows follow this order. An image and its labels must
-    share (D, H, W), and H and W must divide by 2**N_SCALES, so a bad
-    case fails before any training or prediction runs."""
-    cases = {}
-    names = sorted(n for n in os.listdir(data_dir) if n.endswith("_img.mmv"))
-    if not names:
-        raise FormatError(f"no case_*_img.mmv files in {data_dir}")
-    for name in names:
-        img, kind = read_volume(os.path.join(data_dir, name))
-        if kind != "modal":
-            raise FormatError(f"{name} is not a modal volume")
-        lbl_name = name.replace("_img.mmv", "_lbl.mmv")
-        lbl, kind = read_volume(os.path.join(data_dir, lbl_name))
-        if kind != "label":
-            raise FormatError(f"{lbl_name} is not a label volume")
-        if img.shape[1:] != lbl.shape:
-            raise FormatError(
-                f"{name} has (D, H, W) {img.shape[1:]} but {lbl_name} has "
-                f"{lbl.shape}")
-        check_extents(name, img)
-        cases[lbl_name] = (normalize_volume(img), lbl)
-    return cases
-
-
-def check_extents(name, img):
-    """A data error naming the image file if the H or W of its
-    (M, D, H, W) volume does not divide by 2**N_SCALES."""
+def read_image(path, config):
+    """The modal volume at path, normalized; the raw copy dies on return.
+    A data error naming path if it is not a modal volume, if it has
+    other than config.modality_count modalities (checked when config is
+    not None), or if its H or W does not divide by 2**N_SCALES."""
+    img, kind = read_volume(path)
+    if kind != "modal":
+        raise FormatError(f"{path} is not a modal volume")
+    if config is not None and img.shape[0] != config.modality_count:
+        raise FormatError(f"{path} has {img.shape[0]} modalities, but "
+                          f"modality_count is {config.modality_count}")
     div = 2 ** N_SCALES
     if img.shape[2] % div or img.shape[3] % div:
         raise FormatError(
-            f"{name} has H x W {img.shape[2]}x{img.shape[3]}; both must "
+            f"{path} has H x W {img.shape[2]}x{img.shape[3]}; both must "
             f"be divisible by {div}")
+    return normalize_volume(img)
 
 
-def check_cases(cases, config):
-    """A data error naming the first case whose image has other than
-    modality_count modalities or whose label file holds a value of
-    class_count or more."""
-    for lbl_name, (img, lbl) in cases.items():
-        check_modalities(lbl_name.replace("_lbl.mmv", "_img.mmv"), img,
-                         config)
-        if lbl.max() >= config.class_count:
-            raise FormatError(f"{lbl_name} holds label {lbl.max()}, but "
+def load_cases(data_dir, config):
+    """A list of (normalized image, labels), one per case_<i>_img.mmv /
+    case_<i>_lbl.mmv pair, in the string order of the file names (case_10
+    precedes case_2); train's windows follow this order. Each case is
+    checked as it is read, so the first bad case in that order fails
+    before any training or prediction runs: its image by read_image,
+    then its labels' kind, their (D, H, W) against the image's and, when
+    config is not None, every label below config.class_count."""
+    names = sorted(n for n in os.listdir(data_dir) if n.endswith("_img.mmv"))
+    if not names:
+        raise FormatError(f"no case_*_img.mmv files in {data_dir}")
+    cases = []
+    for name in names:
+        img_path = os.path.join(data_dir, name)
+        img = read_image(img_path, config)
+        lbl_path = img_path.removesuffix("_img.mmv") + "_lbl.mmv"
+        lbl, kind = read_volume(lbl_path)
+        if kind != "label":
+            raise FormatError(f"{lbl_path} is not a label volume")
+        if img.shape[1:] != lbl.shape:
+            raise FormatError(f"{img_path} has (D, H, W) {img.shape[1:]} but "
+                              f"{lbl_path} has {lbl.shape}")
+        if config is not None and lbl.max() >= config.class_count:
+            raise FormatError(f"{lbl_path} holds label {lbl.max()}, but "
                               f"class_count is {config.class_count}")
-
-
-def check_modalities(name, img, config):
-    """A data error naming the image file if its (M, D, H, W) volume has
-    other than modality_count modalities."""
-    if img.shape[0] != config.modality_count:
-        raise FormatError(f"{name} has {img.shape[0]} modalities, but "
-                          f"modality_count is {config.modality_count}")
+        cases.append((img, lbl))
+    return cases
 
 
 def cmd_gen(args):
@@ -173,9 +170,8 @@ def cmd_train(args):
         "batch_size": args.batch_size,
     }
     model_cfg, train_cfg = resolve_config(file_values, overrides)
-    cases = load_cases(args.data)
-    check_cases(cases, model_cfg)
-    dataset = SequenceDataset(list(cases.values()), train_cfg.sequence_length)
+    dataset = SequenceDataset(load_cases(args.data, model_cfg),
+                              train_cfg.sequence_length)
     if train_cfg.phase1_steps and not dataset.tumor_windows:
         raise FormatError("no tumor-bearing sequence available for phase 1")
     params = init_params(model_cfg)
@@ -194,17 +190,18 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cases = load_cases(args.data)
-    truths = [lbl for _, lbl in cases.values()]
+    # the checkpoint first: its config checks every case as it is read
+    params, config = ((None, None) if args.use_truth
+                      else load_checkpoint(args.model))
+    cases = load_cases(args.data, config)
+    truths = [lbl for _, lbl in cases]
     if args.use_truth:
         k = max(int(lbl.max()) for lbl in truths) + 1
         preds = truths
     else:
-        params, config = load_checkpoint(args.model)
         k = config.class_count
-        check_cases(cases, config)
         preds = [predict_volume(params, img, config.sequence_length)
-                 for img, _ in cases.values()]
+                 for img, _ in cases]
     report = metrics.evaluate(preds, truths, k)
     write_text(args.report, report.to_text())
     print(report.to_text(), end="")
@@ -213,12 +210,7 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     params, config = load_checkpoint(args.model)
-    volume, kind = read_volume(args.volume)
-    if kind != "modal":
-        raise FormatError(f"{args.volume} is not a modal volume")
-    check_modalities(args.volume, volume, config)
-    check_extents(args.volume, volume)
-    volume = normalize_volume(volume)  # the raw copy dies before predicting
+    volume = read_image(args.volume, config)
     labels = predict_volume(params, volume, config.sequence_length)
     atomic_write(args.out, lambda p: write_volume(p, labels, "label"))
     print(f"wrote label volume to {args.out}")

@@ -169,7 +169,9 @@ def load_checkpoint(path):
             raise FormatError(
                 f"config declares {need} parameters, the file holds at most "
                 f"{left} values")
-        tensors = {}
+        params = ModelParams(config)
+        records = params.records()
+        seen, biases = set(), {}
         while True:
             head = f.read(4)
             if not head:
@@ -178,42 +180,38 @@ def load_checkpoint(path):
                 raise FormatError("truncated tensor name length")
             (nlen,) = struct.unpack("<I", head)
             name = _decode(_read_exact(f, nlen, "tensor name"), "tensor name")
-            if name in tensors:
+            if name in seen:
                 raise FormatError(f"duplicate tensor name {name}")
+            seen.add(name)
             (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
             if ndim > MAX_NDIM:
                 raise FormatError(f"{name} declares {ndim} dims, a model "
                                   f"tensor has at most {MAX_NDIM}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "dims"))
-            tensors[name] = _read_array(f, dims, "<f4", f"payload of {name}")
-            if not np.isfinite(tensors[name]).all():
+            arr = _read_array(f, dims, "<f4", f"payload of {name}")
+            if not np.isfinite(arr).all():
                 raise FormatError(f"{name} holds a non-finite value")
-
-    def stored(name, like):
-        if name not in tensors:
-            raise FormatError(f"checkpoint missing tensor {name}")
-        if tensors[name].shape != like.shape:
-            raise FormatError(f"shape mismatch for {name}")
-        return tensors[name]
-
-    params = ModelParams(config)
-    records = params.records()
-    for mean in [name for name in records if name.endswith(".running_mean")]:
-        # a file written while conv-BN blocks had a conv bias b: fold b
-        # into the running mean, as in eval mode
-        # (conv + b - rm) * a + shift == (conv - (rm - b)) * a + shift
-        block = mean.removesuffix(".bn.running_mean")
-        bias = tensors.pop(f"{block}.bias", None)
-        if bias is not None:
-            if bias.shape != records[mean].shape:
-                raise FormatError(f"shape mismatch for {block}.bias")
-            tensors[mean] = stored(mean, records[mean]) - bias
-    unknown = [name for name in tensors if name not in records]
-    if unknown:
-        raise FormatError(
-            f"checkpoint holds unknown tensor {', '.join(unknown)}")
-    for name, view in records.items():
-        view[...] = stored(name, view)
+            # a file written while conv-BN blocks had a conv bias holds a
+            # `<block>.bias`, folded into the block's running mean below
+            mean = name.removesuffix(".bias") + ".bn.running_mean"
+            legacy = (name not in records and name.endswith(".bias")
+                      and mean in records)
+            view = records[mean] if legacy else records.get(name)
+            if view is None:
+                raise FormatError(f"checkpoint holds unknown tensor {name}")
+            if arr.shape != view.shape:
+                raise FormatError(f"shape mismatch for {name}")
+            if legacy:
+                biases[mean] = arr
+            else:
+                view[...] = arr
+    missing = [name for name in records if name not in seen]
+    if missing:
+        raise FormatError(f"checkpoint missing tensor {missing[0]}")
+    for mean, bias in biases.items():
+        # as in eval mode: (conv + b - rm) * a + shift
+        # == (conv - (rm - b)) * a + shift
+        records[mean] -= bias
     return params, config
 
 

@@ -221,6 +221,21 @@ class TestTrain:
             resolved.read_bytes()
         assert len(resolved.read_text().splitlines()) == 12
 
+    def test_failed_write_leaves_no_partial(self, tiny_data, tmp_path,
+                                            monkeypatch, capsys):
+        def failing(path, params):
+            with open(path, "wb") as f:
+                f.write(b"MMCK")
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, "save_checkpoint", failing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "out"
+        assert run("train", "--config", str(cfg), "--data", str(tiny_data),
+                   "--out", str(out)) == EXIT_DATA
+        assert "disk full" in capsys.readouterr().err
+        assert not list(out.rglob("*.partial"))
+
 
 def mismatched_case(tmp_path, lbl_dims):
     """A data directory of one 16x16x16 image and labels of lbl_dims."""
@@ -426,6 +441,61 @@ class TestNonFiniteVoxel:
                      "--volume", str(corpus / "case_1_img.mmv"),
                      "--out", str(out))
         assert predicted == [] and not out.exists()
+
+
+class TestCaseOrder:
+    """Each case is checked as it is read, in file-name order: the first
+    bad case is the one reported, and eval opens its checkpoint before it
+    reads any volume."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        # case_0 holds a label at class_count or above; case_1's H x W
+        # does not divide by 16
+        data = tmp_path / "two_faults"
+        data.mkdir()
+        for i, (d, h, w) in enumerate([(16, 16, 16), (16, 20, 20)]):
+            lbl = np.zeros((d, h, w), dtype=np.uint8)
+            lbl[0, 0, 0] = 7 if i == 0 else 1
+            write_volume(data / f"case_{i}_img.mmv",
+                         np.zeros((4, d, h, w), dtype=np.float32), "modal")
+            write_volume(data / f"case_{i}_lbl.mmv", lbl, "label")
+        return data
+
+    def test_train_names_first_bad_case(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("train", "--data", str(corpus), "--out", str(out)) \
+            == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "case_0_lbl.mmv holds label 7" in err[0]
+        assert not out.exists()
+
+    def test_eval_names_first_bad_case(self, corpus, tmp_path, capsys,
+                                       monkeypatch):
+        predicted = []
+        monkeypatch.setattr(cli, "predict_volume",
+                            lambda *a: predicted.append(a))
+        ckpt, report = tmp_path / "m.mmck", tmp_path / "report.txt"
+        save_checkpoint(ckpt, init_params(ModelConfig(seed=0)))
+        assert run("eval", "--model", str(ckpt), "--data", str(corpus),
+                   "--report", str(report)) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "case_0_lbl.mmv holds label 7" in err[0]
+        assert predicted == [] and not report.exists()
+
+    def test_eval_opens_checkpoint_before_any_volume(self, tiny_data,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        reads = []
+        read = cli.read_volume
+        monkeypatch.setattr(cli, "read_volume",
+                            lambda path: reads.append(path) or read(path))
+        ckpt, report = tmp_path / "m.mmck", tmp_path / "report.txt"
+        ckpt.write_bytes(b"XXXX" + bytes(16))
+        assert run("eval", "--model", str(ckpt), "--data", str(tiny_data),
+                   "--report", str(report)) == EXIT_DATA
+        assert "bad magic" in capsys.readouterr().err
+        assert reads == [] and not report.exists()
 
 
 class TestPathMixups:

@@ -480,6 +480,20 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="seed"):
             load_checkpoint(path)
 
+    def test_load_holds_one_record_beyond_the_model(self, tmp_path):
+        # each record is copied into the model as it is read, so the peak
+        # is the model plus about one record, not the model twice
+        config = ModelConfig()
+        path = tmp_path / "m.mmck"
+        save_checkpoint(path, init_params(config))
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * parameter_count(config) * 4
+
 
 class TestSyntheticGenerator:
     def test_deterministic(self):
